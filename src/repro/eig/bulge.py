@@ -91,18 +91,19 @@ def bulge_chase(
         entries directly.
     want_q : bool
         Accumulate the orthogonal transform ``Q2`` with ``A ≈ Q2 T Q2^T``.
-    variant : {"givens", "blocked", "wavefront"}
-        ``"givens"``: Schwarz rotation scheme (this module).
-        ``"blocked"``: Householder column sweeps with blocked chases
-        (:mod:`repro.eig.bulge_blocked`, MAGMA ``sb2st``-style; fewer
-        Python-level steps, faster for larger bandwidths).
-        ``"wavefront"``: batched anti-diagonal wavefronts of WY tile
-        updates launched through the GEMM engine
-        (:mod:`repro.eig.bulge_wavefront`; pass ``engine=`` /
-        ``workspace=`` keywords for telemetry and arena reuse).
+    variant : {"givens", "wavefront"}
+        ``"givens"``: Schwarz rotation scheme (this module; the accuracy
+        oracle the other scheme is tested against).
+        ``"wavefront"``: Householder column sweeps whose chase hops run as
+        batched anti-diagonal wavefronts of WY tile updates through the
+        GEMM engine (:mod:`repro.eig.bulge_wavefront`; pass ``engine=`` /
+        ``workspace=`` keywords for telemetry and arena reuse).  The
+        drivers' default (:data:`repro.eig.driver.DEFAULT_BULGE_VARIANT`):
+        about 5x faster than ``"givens"`` for a full ``syevd_2stage``
+        with eigenvectors at n=384, b=32.
     engine, workspace : optional
         Forwarded to the wavefront variant (GEMM engine routing and
-        scratch-arena reuse); unused by the scalar variants.
+        scratch-arena reuse); unused by the Givens chase.
 
     Returns
     -------
@@ -113,10 +114,6 @@ def bulge_chase(
     q : ndarray (n, n) or None
         The accumulated transform (``None`` if not requested).
     """
-    if variant == "blocked":
-        from .bulge_blocked import bulge_chase_blocked
-
-        return bulge_chase_blocked(a, b, want_q=want_q)
     if variant == "wavefront":
         from .bulge_wavefront import bulge_chase_wavefront
 
@@ -125,8 +122,7 @@ def bulge_chase(
         )
     if variant != "givens":
         raise ShapeError(
-            "variant must be 'givens', 'blocked' or 'wavefront', "
-            f"got {variant!r}"
+            f"variant must be 'givens' or 'wavefront', got {variant!r}"
         )
     A, q = reduce_bandwidth(a, b, target=1, want_q=want_q)
     n = A.shape[0]

@@ -1,15 +1,20 @@
 """Wavefront (batched, engine-routed) bulge chasing — stage 2 on GEMMs.
 
-The Givens scheme (:mod:`repro.eig.bulge`) and the blocked Householder
-scheme (:mod:`repro.eig.bulge_blocked`) both walk the band one rotation /
-one reflector-block at a time, entirely outside the GEMM engine — stage 2
-is invisible to the tensor-core path, the workspace arena, and the GEMM
-telemetry stream.  This module rebuilds the blocked chase on the
-memory-aware tile-batching design of "Accelerating Bidiagonalization of
-Banded Matrices through Memory-Aware Bulge-Chasing on GPUs"
-(arXiv 2510.12705) with the wavefront dependency structure of "Look-Ahead
-in the Two-Sided Reduction to Compact Band Forms" (arXiv 1709.00302):
+The Givens scheme (:mod:`repro.eig.bulge`) walks the band one rotation at
+a time, entirely outside the GEMM engine — stage 2 is invisible to the
+tensor-core path, the workspace arena, and the GEMM telemetry stream.
+This module is the MAGMA ``sytrd_sb2st``-style blocked Householder chase
+(one reflector opens each column sweep, then one small QR + WY
+application per hop) rebuilt on the memory-aware tile-batching design of
+"Accelerating Bidiagonalization of Banded Matrices through Memory-Aware
+Bulge-Chasing on GPUs" (arXiv 2510.12705) with the wavefront dependency
+structure of "Look-Ahead in the Two-Sided Reduction to Compact Band
+Forms" (arXiv 1709.00302):
 
+- each batch group's hop blocks (and sweep-opening columns) are factored
+  by one stacked LAPACK ``geqrf`` (``np.linalg.qr(..., mode="raw")``,
+  slice-by-slice identical to unstacked calls), and the WY pair comes
+  from a batched compact-WY ``T`` factor — no per-column Python loop;
 - each sweep's per-hop reflectors are grouped into a WY pair (``Q = I -
   W Y^T``) and applied as *tile updates*: two strip GEMMs for the
   off-diagonal block, three small GEMMs plus one fused ``syr2k`` for the
@@ -23,15 +28,16 @@ in the Two-Sided Reduction to Compact Band Forms" (arXiv 1709.00302):
   (:func:`repro.gemm.symbolic.wavefront_rounds`) is shared with the
   symbolic trace, making the launch stream reproducible shape-by-shape
   without running the numerics;
-- every gather/stack/WY/Q buffer comes from the PR-5
-  :class:`repro.perf.Workspace` arena, so the steady-state loop performs
-  no allocations (second pass over the same geometry: zero arena misses).
+- every gather/stack/WY/Q buffer is carved from two
+  :class:`repro.perf.Workspace` takes per batch group (the QR input
+  stack and one scratch bundle), so the steady-state loop performs no
+  arena allocations (second pass over the same geometry: zero misses).
 
-Because batched ``np.matmul`` over a 3-D stack is bitwise identical to
-the per-slice 2-D products, ``batch=False`` (one launch per step) and the
-default batched execution produce *bitwise identical* results — the
-schedule-invariance analogue of stage 1's look-ahead guarantee, pinned by
-tests.
+Because ``np.matmul`` and ``np.linalg.qr`` over a 3-D stack are bitwise
+identical to the per-slice 2-D calls (and ``T`` is inverted slice by
+slice), ``batch=False`` (one launch per step) and the default batched
+execution produce *bitwise identical* results — the schedule-invariance
+analogue of stage 1's look-ahead guarantee, pinned by tests.
 
 The diagonal tile update uses the syr2k trick: with ``U = D W``,
 ``V = W^T D W`` (symmetric) and ``U' = U - (1/2) Y V``,
@@ -40,12 +46,13 @@ The diagonal tile update uses the syr2k trick: with ``U = D W``,
 
 one fused ``syr2k(Y, U', alpha=-1, beta=1, out=D)`` — the output is
 exactly symmetric by construction, so no explicit re-symmetrization pass
-is needed (the blocked variant pays one per hop).
+is needed.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 
 from ..errors import NumericalBreakdownError, ShapeError
 from ..gemm.engine import GemmEngine, PlainEngine
@@ -139,130 +146,80 @@ def _execute_group(A, q, key, steps, eng, ws, dead) -> None:
     gathered stacks are rectangular and the updates launch as single
     batched calls.  Row/column footprints of distinct steps are disjoint
     by the schedule invariant, so gather/scatter order is irrelevant.
+    Both step kinds factor the block ``A[b0:b1, a0:a1]``: the sweep
+    opener's is the single column ``j`` (``w == 1``).
     """
-    kind, L, w, c2 = key
-    G = len(steps)
+    _, L, w, c2 = key
     dtype = A.dtype
     n = A.shape[0]
     kk = min(L, w)
 
-    V = ws.take("bw_v", (G, L, kk), dtype)
-    betas = ws.take("bw_betas", (G, kk), dtype)
-    alphas = ws.take("bw_alpha", (G,), dtype)
-    # Per-group scratch bundle: taken once here, sliced inside the inner
-    # loops (arena lookups are too hot to sit inside the QR recursion).
-    sc = {
-        "sigma": ws.take("bw_rf_sigma", (G,), dtype),
-        "nrm": ws.take("bw_rf_norm", (G,), dtype),
-        "v0": ws.take("bw_rf_v0", (G,), dtype),
-        "asafe": ws.take("bw_rf_asafe", (G,), dtype),
-        "deg": ws.take("bw_rf_deg", (G,), np.bool_),
-    }
-    if kk > 1:
-        sc["qr_t"] = ws.take("bw_qr_t", (G, 1, w - 1), dtype)
-        sc["qr_outer"] = ws.take("bw_qr_outer", (G, L, w - 1), dtype)
-        sc["wy_bv"] = ws.take("bw_wy_bv", (G, L, 1), dtype)
-        sc["wy_t"] = ws.take("bw_wy_t", (G, kk - 1, 1), dtype)
-        sc["wy_u"] = ws.take("bw_wy_u", (G, L, 1), dtype)
-
-    if kind == "col":
-        # Sweep opener: one reflector per sweep annihilating column j
-        # below the subdiagonal (k = 1 WY pair).
-        x = ws.take("bw_colx", (G, L), dtype)
-        for g, (j, geom) in enumerate(steps):
-            b0, b1 = geom[3], geom[4]
-            x[g] = A[b0:b1, j]
-        scales = _prescale(x, ws)
-        V[...] = 0
-        _batched_reflector(x, V[:, :, 0], betas[:, 0], alphas, sc)
-        if scales is not None:
-            np.multiply(alphas, scales, out=alphas)
-        for g, (j, geom) in enumerate(steps):
-            b0, b1 = geom[3], geom[4]
-            A[b0, j] = alphas[g]
-            A[b0 + 1 : b1, j] = 0
-            A[j, b0] = alphas[g]
-            A[j, b0 + 1 : b1] = 0
-    else:
-        # Chase hop: QR of the bulge block annihilates everything below
-        # each column's band edge (the block's local diagonal).
-        blocks = ws.take("bw_block", (G, L, w), dtype)
-        for g, (j, geom) in enumerate(steps):
-            a0, a1, b0, b1 = geom[1], geom[2], geom[3], geom[4]
-            blocks[g] = A[b0:b1, a0:a1]
-        scales = _prescale(blocks, ws)
-        _batched_qr(blocks, V, betas, alphas, sc)
-        if scales is not None:
-            np.multiply(blocks, scales[:, None, None], out=blocks)
-        # All-zero betas mean the block had no sub-band content: that
-        # sweep's chase has died out (identity transform, nothing to do).
-        alive = [g for g in range(G) if betas[g].any()]
-        if len(alive) < G:
-            kept = set(alive)
-            for g, (j, geom) in enumerate(steps):
-                if g not in kept:
-                    dead[j] = 1
-        for g in alive:
-            j, geom = steps[g]
-            a0, a1, b0, b1 = geom[1], geom[2], geom[3], geom[4]
-            A[b0:b1, a0:a1] = blocks[g]
-            A[a0:a1, b0:b1] = blocks[g].T
-        if not alive:
+    blocks = ws.take("bw_block", (len(steps), L, w), dtype)
+    for g, (j, geom) in enumerate(steps):
+        a0, a1, b0, b1 = geom[1:5]
+        blocks[g] = A[b0:b1, a0:a1]
+    _check_finite(blocks)
+    # One stacked LAPACK geqrf: the R factor sits in the upper triangle
+    # of ``h^T``, the reflector tails below it.
+    h, taus = np.linalg.qr(blocks, mode="raw")
+    hT = h.swapaxes(1, 2)
+    # All-zero taus mean the block had no sub-band content: that sweep's
+    # chase has died out (identity transform, nothing to do).
+    alive = taus.any(axis=1)
+    if not alive.all():
+        for g in np.flatnonzero(~alive):
+            dead[steps[g][0]] = 1
+        keep = np.flatnonzero(alive)
+        if keep.size == 0:
             return
-        if len(alive) < G:
-            for i, g in enumerate(alive):
-                if i != g:
-                    V[i] = V[g]
-                    betas[i] = betas[g]
-            steps = [steps[g] for g in alive]
-            G = len(alive)
-            V = V[:G]
-            betas = betas[:G]
+        steps = [steps[g] for g in keep]
+        hT, taus = hT[keep], taus[keep]
+    R = np.triu(hT)
+    for g, (j, geom) in enumerate(steps):
+        a0, a1, b0, b1 = geom[1:5]
+        A[b0:b1, a0:a1] = R[g]
+        A[a0:a1, b0:b1] = R[g].T
 
-    W = ws.take("bw_w", (G, L, kk), dtype)
-    _batched_build_wy(V, betas, W, sc)
+    G = len(steps)
+    shapes = {
+        "V": (L, kk), "W": (L, kk),
+        "S": (L, c2), "ST": (kk, c2), "SU": (L, c2),
+        "D": (L, L), "U": (L, kk), "VS": (kk, kk), "YV": (L, kk),
+    }
+    if q is not None:
+        shapes.update(Qg=(n, L), P=(n, kk), PY=(n, L))
+    sc = _carve(ws, dtype, G, shapes)
+    V, W = sc["V"], sc["W"]
+    _build_wy(hT, taus, V, W)
 
     # --- Strip: rows [b0,b1) x cols [b1,hi), left-applied Q^T then
     # mirrored (S <- S - Y (W^T S)). ------------------------------------
     if c2 > 0:
-        S = ws.take("bw_strip", (G, L, c2), dtype)
+        S = sc["S"]
         for g, (j, geom) in enumerate(steps):
-            b0, b1, hi = geom[3], geom[4], geom[5]
+            b0, b1, hi = geom[3:6]
             S[g] = A[b0:b1, b1:hi]
-        T = eng.gemm_batched(
-            W, S, ta=True, tag=TAG_STRIP,
-            out=ws.take("bw_strip_t", (G, kk, c2), dtype),
-        )
-        YT = eng.gemm_batched(
-            V, T, tag=TAG_STRIP,
-            out=ws.take("bw_strip_u", (G, L, c2), dtype),
-        )
+        T = eng.gemm_batched(W, S, ta=True, tag=TAG_STRIP, out=sc["ST"])
+        YT = eng.gemm_batched(V, T, tag=TAG_STRIP, out=sc["SU"])
         np.subtract(S, YT, out=S)
         for g, (j, geom) in enumerate(steps):
-            b0, b1, hi = geom[3], geom[4], geom[5]
+            b0, b1, hi = geom[3:6]
             A[b0:b1, b1:hi] = S[g]
             A[b1:hi, b0:b1] = S[g].T
 
     # --- Diagonal tile: exactly-symmetric two-sided update via the
     # fused syr2k trick (see module docstring). -------------------------
-    D = ws.take("bw_tile", (G, L, L), dtype)
+    D = sc["D"]
     for g, (j, geom) in enumerate(steps):
-        b0, b1 = geom[3], geom[4]
+        b0, b1 = geom[3:5]
         D[g] = A[b0:b1, b0:b1]
-    U = eng.gemm_batched(
-        D, W, tag=TAG_TILE, out=ws.take("bw_tile_u", (G, L, kk), dtype)
-    )
-    VS = eng.gemm_batched(
-        W, U, ta=True, tag=TAG_TILE,
-        out=ws.take("bw_tile_v", (G, kk, kk), dtype),
-    )
-    YV = eng.gemm_batched(
-        V, VS, tag=TAG_TILE, out=ws.take("bw_tile_yv", (G, L, kk), dtype)
-    )
+    U = eng.gemm_batched(D, W, tag=TAG_TILE, out=sc["U"])
+    VS = eng.gemm_batched(W, U, ta=True, tag=TAG_TILE, out=sc["VS"])
+    YV = eng.gemm_batched(V, VS, tag=TAG_TILE, out=sc["YV"])
     np.multiply(YV, dtype.type(0.5), out=YV)
     np.subtract(U, YV, out=U)  # U' = D W - (1/2) Y (W^T D W)
     for g, (j, geom) in enumerate(steps):
-        b0, b1 = geom[3], geom[4]
+        b0, b1 = geom[3:5]
         eng.syr2k(
             V[g], U[g], tag=TAG_SYR2K, out=A[b0:b1, b0:b1],
             alpha=-1.0, beta=1.0,
@@ -270,155 +227,73 @@ def _execute_group(A, q, key, steps, eng, ws, dead) -> None:
 
     # --- Q accumulation: q[:, R] <- q[:, R] (I - W Y^T). ---------------
     if q is not None:
-        Qg = ws.take("bw_qg", (G, n, L), dtype)
+        Qg = sc["Qg"]
         for g, (j, geom) in enumerate(steps):
-            b0, b1 = geom[3], geom[4]
+            b0, b1 = geom[3:5]
             Qg[g] = q[:, b0:b1]
-        P = eng.gemm_batched(
-            Qg, W, tag=TAG_Q, out=ws.take("bw_q_p", (G, n, kk), dtype)
-        )
-        PY = eng.gemm_batched(
-            P, V, tb=True, tag=TAG_Q,
-            out=ws.take("bw_q_upd", (G, n, L), dtype),
-        )
+        P = eng.gemm_batched(Qg, W, tag=TAG_Q, out=sc["P"])
+        PY = eng.gemm_batched(P, V, tb=True, tag=TAG_Q, out=sc["PY"])
         for g, (j, geom) in enumerate(steps):
-            b0, b1 = geom[3], geom[4]
+            b0, b1 = geom[3:5]
             q[:, b0:b1] -= PY[g]
 
 
-def _prescale(stack, ws):
-    """Overflow/underflow guard for the batched reflector kernels.
+def _carve(ws, dtype, G, shapes) -> dict:
+    """Carve a group's scratch stacks from one arena take.
 
-    The scalar :func:`~repro.la.householder.make_reflector` rescales
-    every column; doing that inside the batched QR recursion costs more
-    arena traffic and ufunc launches than the whole rest of the chase.
-    Householder factors commute with per-slice scaling (``QR`` of
-    ``c X`` is ``Q (c R)``; ``v`` and ``beta`` are scale-invariant), so
-    the guard hoists to one pass per *group*: if every slice magnitude
-    already sits in the safe range — always, for sanely scaled inputs —
-    return ``None`` and the hot path runs unscaled.  Otherwise scale
-    each slice in place and return the per-slice factors so the caller
-    can restore ``R`` / ``alpha`` afterwards.  Non-finite input raises
-    the same breakdown the scalar kernel does.
+    ``shapes`` maps a name to a per-step matrix shape; each view is a
+    disjoint, contiguous ``(G, *shape)`` slice of a single ``bw_bundle``
+    buffer, so a group costs one arena lookup however many stacks it
+    needs.
     """
-    G = stack.shape[0]
-    dtype = stack.dtype
-    flat = stack.reshape(G, -1)
-    buf = ws.take("bw_sc_abs", flat.shape, dtype)
-    np.abs(flat, out=buf)
-    mx = ws.take("bw_sc_max", (G,), dtype)
-    np.max(buf, axis=1, out=mx)
-    if not np.all(np.isfinite(mx)):
+    sizes = [G * r * c for r, c in shapes.values()]
+    buf = ws.take("bw_bundle", (sum(sizes),), dtype)
+    out, off = {}, 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        out[name] = buf[off : off + size].reshape((G,) + shape)
+        off += size
+    return out
+
+
+def _check_finite(blocks) -> None:
+    """Raise the scalar kernel's breakdown on NaN/Inf input.
+
+    LAPACK propagates non-finite values silently, so the guard runs
+    before the factorization.  ``max``/``min`` propagate NaN and each
+    catches one sign of Inf; LAPACK's scaled norms cover the
+    over/underflow range on their own.
+    """
+    if not (np.isfinite(blocks.max()) and np.isfinite(blocks.min())):
         raise NumericalBreakdownError(
             "non-finite block in wavefront bulge chase",
             detector="nonfinite", site="bulge_wavefront",
         )
-    fi = np.finfo(dtype)
-    hi = np.sqrt(fi.max / flat.shape[1]) / 8
-    lo = np.sqrt(fi.tiny) * 8
-    if bool(((mx < hi) & ((mx > lo) | (mx == 0))).all()):
-        return None
-    scales = ws.take("bw_sc_scale", (G,), dtype)
-    np.copyto(scales, mx)
-    scales[mx == 0] = 1
-    np.divide(stack, scales.reshape((G,) + (1,) * (stack.ndim - 1)), out=stack)
-    return scales
 
 
-def _batched_reflector(x, v, beta, alpha, sc) -> None:
-    """Vectorized Householder generation across a stack of columns.
+def _build_wy(hT, taus, V, W) -> None:
+    """Batched WY pair ``H_1 .. H_kk = I - W Y^T`` from raw ``geqrf`` output.
 
-    The batched analogue of :func:`repro.la.householder.make_reflector`
-    (one vectorized pass over the wavefront's concurrent steps; the
-    range guard lives in :func:`_prescale`): for each slice ``g``,
-    ``H_g = I - beta[g] v_g v_g^T`` annihilates ``x[g, 1:]`` with
-    ``(H_g x_g)[0] = alpha[g]``.  ``x`` (G, L) is read-only; ``v``
-    (G, L), ``beta`` (G,) and ``alpha`` (G,) are written, with
-    ``v[:, 0] = 1``.  Slices whose tail is already zero degenerate to
-    ``beta = 0``, ``H = I``.  ``sc`` is the caller's scratch bundle.
-    """
-    np.copyto(v, x)
-    v[:, 0] = 1
-    if x.shape[1] < 2:
-        beta[:] = 0
-        alpha[:] = x[:, 0]
-        return
-    x0 = x[:, 0]
-    sigma = sc["sigma"]
-    np.einsum("gl,gl->g", x[:, 1:], x[:, 1:], out=sigma)
-    deg = sc["deg"]  # nothing to annihilate: H = I
-    np.equal(sigma, 0.0, out=deg)
-    anydeg = bool(deg.any())
-    nrm = sc["nrm"]
-    np.sqrt(sigma, out=nrm)
-    np.hypot(x0, nrm, out=nrm)
-    # alpha gets the sign opposite x0 so v0 = x0 - alpha never cancels.
-    np.copysign(nrm, x0, out=alpha)
-    np.negative(alpha, out=alpha)
-    v0 = sc["v0"]
-    np.subtract(x0, alpha, out=v0)
-    np.subtract(alpha, x0, out=beta)
-    if anydeg:
-        v0[deg] = 1
-        asafe = sc["asafe"]
-        np.copyto(asafe, alpha)
-        asafe[deg] = 1
-        np.divide(beta, asafe, out=beta)
-        beta[deg] = 0
-        alpha[deg] = x[deg, 0]
-    else:
-        np.divide(beta, alpha, out=beta)
-    np.divide(x[:, 1:], v0[:, None], out=v[:, 1:])
-
-
-def _batched_qr(blocks, V, betas, alphas, sc) -> None:
-    """Batched Householder QR of a (G, L, w) stack, in place.
-
-    ``blocks`` becomes the stack of R factors (each exactly the in-band
-    upper triangle); ``V`` (G, L, kk) and ``betas`` (G, kk) collect the
-    reflectors.  An all-zero ``betas[g]`` row means block ``g`` had
-    nothing below its diagonal (dead chase).
-    """
-    G, L, w = blocks.shape
-    kk = V.shape[2]
-    V[...] = 0
-    for jl in range(kk):
-        lr = L - jl
-        _batched_reflector(
-            blocks[:, jl:, jl], V[:, jl:, jl], betas[:, jl], alphas, sc
-        )
-        blocks[:, jl, jl] = alphas
-        blocks[:, jl + 1 :, jl] = 0
-        wr = w - jl - 1
-        if wr < 1 or lr < 2:
-            continue
-        vj = V[:, jl:, jl]
-        rest = blocks[:, jl:, jl + 1 :]
-        t = sc["qr_t"][:, :, :wr]
-        np.matmul(vj[:, None, :], rest, out=t)
-        np.multiply(t, betas[:, jl, None, None], out=t)
-        outer = sc["qr_outer"][:, :lr, :wr]
-        np.matmul(vj[:, :, None], t, out=outer)
-        np.subtract(rest, outer, out=rest)
-
-
-def _batched_build_wy(V, betas, W, sc) -> None:
-    """Batched WY recurrence: per slice, ``H_1 .. H_kk = I - W Y^T``.
-
-    Same recurrence as :func:`repro.la.wy.build_wy`, vectorized over the
-    stack (the per-step WY build is panel-internal work, like stage 1's
-    panel factorization — it stays outside the engine stream).
+    ``Y`` (written to ``V``) is the unit lower-trapezoidal reflector
+    stack.  ``W = Y T`` with the compact-WY factor ``T`` obtained from
+    its inverse, ``T^{-1} = triu(Y^T Y, 1) + diag(1 / tau)`` — one Gram
+    product and one LAPACK ``trtri`` per slice instead of ``larft``'s
+    column recurrence.  A reflector with ``tau == 0`` is the identity
+    (its ``v`` is a unit vector, so row ``j`` of ``T^{-1}`` is
+    diagonal-only): it gets a unit diagonal entry for the inverse, then
+    its row and column of ``T`` are zeroed.
     """
     G, L, kk = V.shape
-    np.multiply(V[:, :, 0], betas[:, 0, None], out=W[:, :, 0])
-    for jl in range(1, kk):
-        # [:G] slices: after dead-sweep compaction the stack is shorter
-        # than the scratch taken for the full group.
-        bv = sc["wy_bv"][:G]
-        np.multiply(V[:, :, jl], betas[:, jl, None], out=bv[:, :, 0])
-        t = sc["wy_t"][:G, :jl]
-        np.matmul(V[:, :, :jl].swapaxes(1, 2), bv, out=t)
-        u = sc["wy_u"][:G]
-        np.matmul(W[:, :, :jl], t, out=u)
-        np.subtract(bv, u, out=bv)
-        W[:, :, jl] = bv[:, :, 0]
+    diag = np.arange(kk)
+    np.multiply(hT[:, :, :kk], np.tri(L, kk, -1, dtype=V.dtype), out=V)
+    V[:, diag, diag] = 1
+    t_inv = np.triu(np.matmul(V.swapaxes(1, 2), V), 1)
+    live = taus != 0
+    t_inv[:, diag, diag] = 1 / np.where(live, taus, 1)
+    trtri = get_lapack_funcs("trtri", dtype=V.dtype)
+    T = np.empty_like(t_inv)
+    for g in range(G):
+        T[g] = trtri(t_inv[g])[0]
+    if not live.all():
+        T *= live[:, :, None]
+        T *= live[:, None, :]
+    np.matmul(V, T, out=W)

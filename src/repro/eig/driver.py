@@ -75,16 +75,30 @@ from .qliter import tridiag_eig_ql
 from .sturm import eigvals_bisect
 from .tridiag_direct import householder_tridiagonalize
 
-__all__ = ["EvdResult", "syevd_2stage", "syevd_1stage", "syevd_selected"]
+__all__ = [
+    "BULGE_VARIANTS",
+    "DEFAULT_BULGE_VARIANT",
+    "EvdResult",
+    "syevd_2stage",
+    "syevd_1stage",
+    "syevd_selected",
+]
 
 #: Stage-2 band-to-tridiagonal schemes selectable on the drivers.
-BULGE_VARIANTS = ("givens", "blocked", "wavefront")
+BULGE_VARIANTS = ("givens", "wavefront")
+
+#: The stage-2 scheme every driver, progress plan and flop model uses
+#: unless told otherwise: the engine-routed wavefront chase.  With
+#: eigenvectors at n=384, b=32 (``fp16_ec_tc`` stage 1) it takes
+#: ``syevd_2stage`` from a median 7.05 s (Givens) to 1.49 s on a 2-core
+#: x86 machine.
+DEFAULT_BULGE_VARIANT = "wavefront"
 
 
 def _check_bulge_variant(bulge_variant: str) -> None:
     if bulge_variant not in BULGE_VARIANTS:
         raise ValidationError(
-            "bulge_variant must be one of 'givens', 'blocked', 'wavefront'; "
+            f"bulge_variant must be one of {BULGE_VARIANTS}; "
             f"got {bulge_variant!r}",
             field="bulge_variant",
         )
@@ -270,7 +284,7 @@ def _resumed_result(ck, result_ck, b, eng, sbr_eng, ctx) -> "EvdResult":
 
 
 def _resilient_bulge(
-    ctx, band64, b, want_q, variant="givens", record_trace=False, workspace=None,
+    ctx, band64, b, want_q, variant, record_trace=False, workspace=None,
 ):
     """Bulge chasing as a retryable unit.
 
@@ -361,7 +375,7 @@ def syevd_2stage(
     panel: "str | PanelStrategy | None" = None,
     want_vectors: bool = True,
     tridiag_solver: str = "dc",
-    bulge_variant: str = "givens",
+    bulge_variant: str = DEFAULT_BULGE_VARIANT,
     record_trace: bool = False,
     workspace=None,
     lookahead: bool = False,
@@ -402,12 +416,15 @@ def syevd_2stage(
         Whether to form eigenvectors (adds the two back-transformations).
     tridiag_solver : {"dc", "ql", "bisect"}
         Tridiagonal eigensolver.
-    bulge_variant : {"givens", "blocked", "wavefront"}
+    bulge_variant : {"wavefront", "givens"}
         Stage-2 band-to-tridiagonal scheme (see
-        :func:`repro.eig.bulge.bulge_chase`).  ``"wavefront"`` routes the
-        stage-2 tile updates through a float64 GEMM engine (sharing this
-        run's workspace arena), so they appear in the telemetry stream
-        and under the resilience/ABFT guards like stage 1.
+        :func:`repro.eig.bulge.bulge_chase`).  The default
+        (:data:`DEFAULT_BULGE_VARIANT`) ``"wavefront"`` routes the stage-2
+        tile updates through a float64 GEMM engine (sharing this run's
+        workspace arena), so they appear in the telemetry stream and
+        under the resilience/ABFT guards like stage 1.  ``"givens"`` is
+        the scalar rotation chase: the tests' accuracy oracle, and the
+        service default for small jobs, where per-launch cost dominates.
     record_trace : bool
         Record the stage-1 GEMM stream on the engine.
     workspace : repro.perf.Workspace, bool, or None
@@ -705,7 +722,7 @@ def syevd_selected(
     method: str = "wy",
     precision: "Precision | str" = Precision.FP32,
     want_vectors: bool = True,
-    bulge_variant: str = "givens",
+    bulge_variant: str = DEFAULT_BULGE_VARIANT,
     on_breakdown: "str | None" = "escalate",
     faults: "FaultInjector | None" = None,
     abft: "str | None" = None,

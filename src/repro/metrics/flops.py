@@ -13,6 +13,7 @@ the "more flops, better shapes" trade-off of §4.3.1.
 
 from __future__ import annotations
 
+from ..eig.driver import DEFAULT_BULGE_VARIANT
 from ..gemm.symbolic import (
     bulge_sweep_geometry,
     trace_bulge_wavefront,
@@ -30,7 +31,6 @@ __all__ = [
     "sbr_wy_flops",
     "formw_flops",
     "bulge_givens_flops",
-    "bulge_blocked_flops",
     "bulge_wavefront_flops",
     "bulge_flops",
 ]
@@ -153,30 +153,6 @@ def bulge_givens_flops(n: int, b: int, *, want_q: bool = True) -> int:
     return total
 
 
-def bulge_blocked_flops(n: int, b: int, *, want_q: bool = True) -> int:
-    """Stage-2 operations of the blocked Householder bulge chase.
-
-    Iterates the exact hop geometry every sweep performs
-    (:func:`repro.gemm.symbolic.bulge_sweep_geometry` — shared with the
-    numeric executors) and charges each hop its QR factorization, WY
-    build, two-sided WY application over the hop's footprint, and Q
-    accumulation.
-    """
-    total = 0
-    for j in range(max(n - 2, 0)):
-        for kind, a0, a1, b0, b1, hi in bulge_sweep_geometry(n, b, j):
-            L = b1 - b0
-            w = a1 - a0 if kind == "qr" else 1
-            kk = min(L, w)
-            total += panel_qr_flops(L, kk) + panel_wy_build_flops(L, kk)
-            # Two-sided application: tile (L×L) plus strip (L×(hi-b1)),
-            # each Y (W^T S) left + mirrored right.
-            total += 8 * L * kk * (hi - a1)
-            if want_q:
-                total += 4 * n * L * kk
-    return total
-
-
 def bulge_wavefront_flops(n: int, b: int, *, want_q: bool = True) -> int:
     """Stage-2 operations of the wavefront bulge chase.
 
@@ -195,10 +171,10 @@ def bulge_wavefront_flops(n: int, b: int, *, want_q: bool = True) -> int:
     return total
 
 
-def bulge_flops(n: int, b: int, *, variant: str = "givens", want_q: bool = True) -> int:
+def bulge_flops(
+    n: int, b: int, *, variant: str = DEFAULT_BULGE_VARIANT, want_q: bool = True
+) -> int:
     """Stage-2 operation count for the named bulge-chase variant."""
-    if variant == "blocked":
-        return bulge_blocked_flops(n, b, want_q=want_q)
     if variant == "wavefront":
         return bulge_wavefront_flops(n, b, want_q=want_q)
     return bulge_givens_flops(n, b, want_q=want_q)

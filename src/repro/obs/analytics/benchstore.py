@@ -59,9 +59,12 @@ class BenchScenario:
     ``bulge_variant`` are layered knobs forwarded to the target driver
     *only when its signature supports them*, so a session recorded on an
     older tree stays comparable.  ``abft="detect"`` prices the
-    online-ABFT verification overhead on the GEMM stream;
-    ``bulge_variant="wavefront"`` routes stage 2 through the batched
-    WY/GEMM chase instead of the scalar Givens loop.
+    online-ABFT verification overhead on the GEMM stream.
+    ``bulge_variant`` (``None``: the drivers' default,
+    :data:`repro.eig.driver.DEFAULT_BULGE_VARIANT`) is always forwarded,
+    so a row keeps measuring the stage-2 chase it was recorded with when
+    the driver default changes — the pre-existing EVD rows pin
+    ``"givens"``, the scalar loop their baselines measured.
     """
 
     key: str
@@ -77,27 +80,40 @@ class BenchScenario:
     workspace: str = "on"
     lookahead: bool = False
     abft: str = "off"
-    bulge_variant: str = "givens"
+    bulge_variant: "str | None" = None
 
 
 #: Pinned suites.  ``smoke`` is the CI gate: small sizes, seconds per
-#: scenario.  ``standard`` is the local trajectory suite.
+#: scenario.  ``standard`` is the local trajectory suite.  The EVD rows
+#: pin the Givens chase their committed baselines measured.
 SUITES: dict[str, tuple[BenchScenario, ...]] = {
     "smoke": (
-        BenchScenario("wy-fp32-n128", n=128, b=8, nb=32),
-        BenchScenario("wy-fp32-n256", n=256, b=16, nb=64),
-        BenchScenario("zy-fp32-n128", n=128, b=8, method="zy"),
-        BenchScenario("wy-fp16-n128", n=128, b=8, nb=32, precision="fp16_tc"),
+        BenchScenario("wy-fp32-n128", n=128, b=8, nb=32, bulge_variant="givens"),
+        BenchScenario("wy-fp32-n256", n=256, b=16, nb=64, bulge_variant="givens"),
+        BenchScenario("zy-fp32-n128", n=128, b=8, method="zy", bulge_variant="givens"),
+        BenchScenario(
+            "wy-fp16-n128", n=128, b=8, nb=32, precision="fp16_tc",
+            bulge_variant="givens",
+        ),
         BenchScenario("sbr-wy-fp32-n256", n=256, b=16, nb=64, stage="sbr"),
     ),
     "standard": (
-        BenchScenario("wy-fp32-n128", n=128, b=8, nb=32),
-        BenchScenario("wy-fp32-n256", n=256, b=16, nb=64),
-        BenchScenario("wy-fp32-n512", n=512, b=16, nb=64),
-        BenchScenario("zy-fp32-n256", n=256, b=16, method="zy"),
-        BenchScenario("wy-fp16-n256", n=256, b=16, nb=64, precision="fp16_tc"),
-        BenchScenario("wy-ec-n256", n=256, b=16, nb=64, precision="fp16_ec_tc"),
-        BenchScenario("wy-fp32-n256-vec", n=256, b=16, nb=64, want_vectors=True),
+        BenchScenario("wy-fp32-n128", n=128, b=8, nb=32, bulge_variant="givens"),
+        BenchScenario("wy-fp32-n256", n=256, b=16, nb=64, bulge_variant="givens"),
+        BenchScenario("wy-fp32-n512", n=512, b=16, nb=64, bulge_variant="givens"),
+        BenchScenario("zy-fp32-n256", n=256, b=16, method="zy", bulge_variant="givens"),
+        BenchScenario(
+            "wy-fp16-n256", n=256, b=16, nb=64, precision="fp16_tc",
+            bulge_variant="givens",
+        ),
+        BenchScenario(
+            "wy-ec-n256", n=256, b=16, nb=64, precision="fp16_ec_tc",
+            bulge_variant="givens",
+        ),
+        BenchScenario(
+            "wy-fp32-n256-vec", n=256, b=16, nb=64, want_vectors=True,
+            bulge_variant="givens",
+        ),
         # Stage-1-only hot-loop scenarios (PR 5): the paper's target shape
         # at n=1024, plus a workspace on/off pair isolating the arena.
         # Look-ahead stays off here: overlap needs a second core to pay
@@ -121,6 +137,7 @@ SUITES: dict[str, tuple[BenchScenario, ...]] = {
         # the pair prices the verification tax for the regression gate.
         BenchScenario(
             "wy-fp32-n256-abft", n=256, b=16, nb=64, abft="detect",
+            bulge_variant="givens",
         ),
         # Stage-2 wavefront row (PR 10): the paper's target shape with the
         # batched WY bulge chase in place of the scalar Givens loop —
@@ -176,7 +193,8 @@ def _perf_kwargs(sc: BenchScenario, fn) -> dict:
 
     Non-default knobs are forwarded only when ``fn``'s signature has the
     parameter, so a suite definition referencing newer knobs still runs
-    (and stays comparable) against an older driver.
+    (and stays comparable) against an older driver.  The bulge variant
+    is forwarded whenever accepted, default or not.
     """
     import inspect
 
@@ -188,8 +206,10 @@ def _perf_kwargs(sc: BenchScenario, fn) -> dict:
         kwargs["lookahead"] = True
     if sc.abft != "off" and "abft" in params:
         kwargs["abft"] = sc.abft
-    if sc.bulge_variant != "givens" and "bulge_variant" in params:
-        kwargs["bulge_variant"] = sc.bulge_variant
+    if "bulge_variant" in params:
+        from ...eig.driver import DEFAULT_BULGE_VARIANT
+
+        kwargs["bulge_variant"] = sc.bulge_variant or DEFAULT_BULGE_VARIANT
     return kwargs
 
 

@@ -29,18 +29,20 @@ __all__ = ["ProgressEstimator", "phase_plan"]
 def phase_plan(n: int, b: int = 16, nb: "int | None" = None,
                method: str = "wy", want_vectors: bool = True,
                tridiag_solver: str = "dc",
-               bulge_variant: str = "givens") -> dict:
+               bulge_variant: "str | None" = None) -> dict:
     """Predicted work units (flops) per driver phase for one EVD run.
 
     SBR and stage-2 bulge chasing use the analytic counts from
     :mod:`repro.metrics.flops`, summed over each algorithm's actual loop
-    structure per the selected ``bulge_variant``; the later phases use
-    standard operation counts (divide-and-conquer with vectors is
+    structure per the selected ``bulge_variant`` (``None``: the drivers'
+    default, :data:`repro.eig.driver.DEFAULT_BULGE_VARIANT`); the later
+    phases use standard operation counts (divide-and-conquer with vectors is
     ``O(n^3)``-dominated by its back-substitution GEMMs; the explicit
     back-transform is two dense ``n^3`` products).  Rough weights are
     fine: the estimator only needs relative phase sizes, and measured
     throughput does the rest.
     """
+    from ...eig.driver import DEFAULT_BULGE_VARIANT
     from ...metrics import flops as _flops
 
     nb_eff = nb if nb is not None else max(2 * b, 32)
@@ -50,7 +52,8 @@ def phase_plan(n: int, b: int = 16, nb: "int | None" = None,
         sbr = _flops.sbr_wy_flops(n, b, nb_eff, want_q=want_vectors)
     plan = {"sbr": float(max(sbr, 1.0))}
     plan["bulge"] = float(max(
-        _flops.bulge_flops(n, b, variant=bulge_variant, want_q=want_vectors),
+        _flops.bulge_flops(n, b, variant=bulge_variant or DEFAULT_BULGE_VARIANT,
+                           want_q=want_vectors),
         1.0,
     ))
     if tridiag_solver == "dc" and want_vectors:

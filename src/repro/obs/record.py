@@ -88,7 +88,7 @@ def record_syevd(
     precision: str = "fp32",
     want_vectors: bool = True,
     tridiag_solver: str = "dc",
-    bulge_variant: str = "givens",
+    bulge_variant: "str | None" = None,
     distribution: str = "geo",
     cond: float = 1e3,
     seed: int = 0,
@@ -108,11 +108,13 @@ def record_syevd(
 
     When ``a`` is omitted, a test matrix is generated with
     :func:`repro.matrices.generate_symmetric` (``n``, ``distribution``,
-    ``cond``, ``seed``).  The stage-1 GEMM stream is always recorded and
-    embedded in the manifest.  ``on_breakdown`` and ``faults`` (a
-    :class:`repro.resilience.FaultInjector`) pass through to the driver;
-    the run's resilience report lands in the manifest as a
-    ``"resilience"`` line — this is how fault-injection campaigns are
+    ``cond``, ``seed``).  ``bulge_variant=None`` runs the driver default
+    (:data:`repro.eig.driver.DEFAULT_BULGE_VARIANT`), and the manifest's
+    config line names the variant that ran.  The stage-1 GEMM stream is
+    always recorded and embedded in the manifest.  ``on_breakdown`` and
+    ``faults`` (a :class:`repro.resilience.FaultInjector`) pass through
+    to the driver; the run's resilience report lands in the manifest as
+    a ``"resilience"`` line — this is how fault-injection campaigns are
     archived and diffed.  ``abft`` (``"off"``/``"detect"``/``"correct"``
     or an :class:`repro.resilience.AbftPolicy`) turns on online GEMM
     checksum verification; the run's ABFT report is archived as an
@@ -135,8 +137,10 @@ def record_syevd(
     """
     import numpy as np
 
-    from ..eig.driver import syevd_2stage
+    from ..eig.driver import DEFAULT_BULGE_VARIANT, syevd_2stage
     from ..matrices import generate_symmetric
+
+    bulge_variant = bulge_variant or DEFAULT_BULGE_VARIANT
 
     if a is None:
         a, _ = generate_symmetric(

@@ -189,23 +189,31 @@ class DetectorBank:
         panel: int | None,
         precision: Precision,
     ) -> None:
-        """Post-GEMM output check: NaN/Inf scan plus magnitude guard."""
+        """Post-GEMM output check: NaN/Inf scan plus magnitude guard.
+
+        One ``max|arr|`` reduction decides both detectors for a finite
+        output (NaN and Inf propagate through it); only a non-finite
+        result takes the separate scans below, which name the detector.
+        """
         cfg = self.config
-        if cfg.nonfinite and has_nonfinite(arr):
-            raise NumericalBreakdownError(
-                "non-finite entries in GEMM output",
-                phase=phase, panel=panel, detector="nonfinite", site=site,
-                precision=precision.value,
-            )
-        if cfg.magnitude:
-            mx = max_abs(arr)
-            if mx > cfg.magnitude_limit:
+        if not (cfg.nonfinite or cfg.magnitude) or arr.size == 0:
+            return
+        mx = float(np.abs(arr).max())
+        if not np.isfinite(mx):
+            if cfg.nonfinite and has_nonfinite(arr):
                 raise NumericalBreakdownError(
-                    "GEMM output magnitude exceeds overflow guard",
-                    phase=phase, panel=panel, detector="magnitude", site=site,
-                    value=mx, threshold=cfg.magnitude_limit,
+                    "non-finite entries in GEMM output",
+                    phase=phase, panel=panel, detector="nonfinite", site=site,
                     precision=precision.value,
                 )
+            mx = max_abs(arr)  # the magnitude guard skips NaNs
+        if cfg.magnitude and mx > cfg.magnitude_limit:
+            raise NumericalBreakdownError(
+                "GEMM output magnitude exceeds overflow guard",
+                phase=phase, panel=panel, detector="magnitude", site=site,
+                value=mx, threshold=cfg.magnitude_limit,
+                precision=precision.value,
+            )
 
     def check_panel_q(
         self,

@@ -216,6 +216,7 @@ def _bitwise_reference(spec: JobSpec, result) -> bool:
             precision=result.precision_used,
             want_vectors=result.eigenvectors is not None,
             tridiag_solver=spec.tridiag_solver,
+            bulge_variant=spec.bulge_variant,
             checkpoint=os.path.join(ref_dir, "run"),
         )
     if not np.array_equal(ref.eigenvalues, result.eigenvalues):

@@ -84,8 +84,13 @@ class JobSpec:
     precision: str = "fp32"
     want_vectors: bool = True
     tridiag_solver: str = "dc"
-    #: Stage-2 bulge-chase variant forwarded to the driver
-    #: (``"givens"``, ``"blocked"``, or ``"wavefront"``).
+    #: Stage-2 bulge-chase variant forwarded to the driver (``"givens"``
+    #: or ``"wavefront"``).  Stays ``"givens"`` although the drivers
+    #: default to the wavefront chase: service jobs are small (b=8,
+    #: n<=128), where per-launch telemetry and arena cost outweigh the
+    #: batched chase — with this default flipped, the two-client serve-mix
+    #: benchmark's median solve went from 0.55 s to 0.81-0.88 s (two
+    #: paired runs on a 2-core x86 machine).
     bulge_variant: str = "givens"
     priority: str = "standard"
     deadline_seconds: "float | None" = None

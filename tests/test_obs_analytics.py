@@ -104,6 +104,41 @@ class TestDeterministicClock:
                    for w in row["wall"])
 
 
+class TestScenarioVariant:
+    @staticmethod
+    def _driver_kwargs(sc):
+        seen = {}
+
+        def syevd_2stage(a, *, b, nb, method, precision, want_vectors,
+                         tridiag_solver, bulge_variant="wavefront"):
+            seen["bulge_variant"] = bulge_variant
+
+        from repro.obs.analytics.benchstore import _scenario_runner
+
+        _scenario_runner(sc, syevd_2stage)(None)
+        return seen
+
+    def test_givens_row_reaches_driver_as_givens(self):
+        # A default-valued variant must still be forwarded, or a row
+        # silently switches chase when the driver default changes.
+        sc = BenchScenario("tiny", n=16, b=2, nb=4, bulge_variant="givens")
+        assert self._driver_kwargs(sc) == {"bulge_variant": "givens"}
+
+    def test_unpinned_row_runs_the_driver_default(self):
+        from repro.eig.driver import DEFAULT_BULGE_VARIANT
+
+        sc = BenchScenario("tiny", n=16, b=2, nb=4)
+        assert self._driver_kwargs(sc) == {"bulge_variant": DEFAULT_BULGE_VARIANT}
+
+    def test_evd_rows_pin_givens(self):
+        from repro.obs.analytics.benchstore import SUITES
+
+        for suite in SUITES.values():
+            for sc in suite:
+                if sc.stage == "evd" and sc.key != "bulge-wavefront-n1024":
+                    assert sc.bulge_variant == "givens", sc.key
+
+
 class TestAttribution:
     @pytest.fixture(scope="class")
     def report(self, tmp_path_factory):

@@ -195,6 +195,35 @@ class TestDetectorBank:
             precision=Precision.FP32,
         )
 
+    @pytest.mark.parametrize("nonfinite,magnitude", [
+        (True, False), (False, True), (True, True),
+    ])
+    @pytest.mark.parametrize("values", [
+        [1.0, np.nan], [1.0, np.inf], [1.0, -np.inf], [np.nan, np.nan],
+        [np.nan, 1e30], [np.inf, np.nan], [1.0, 1e30], [-1e30, 2.0],
+        [1.0, -2.0],
+    ])
+    def test_fused_check_matches_two_pass_check(self, nonfinite, magnitude, values):
+        # The single max|out| reduction must name the same detector and
+        # report the same value as a separate NaN/Inf scan followed by
+        # the NaN-skipping magnitude guard.
+        cfg = DetectorConfig(nonfinite=nonfinite, magnitude=magnitude,
+                             magnitude_limit=1e25)
+        arr = np.array(values)
+        want = None
+        if nonfinite and has_nonfinite(arr):
+            want = ("nonfinite", None)
+        elif magnitude and max_abs(arr) > cfg.magnitude_limit:
+            want = ("magnitude", max_abs(arr))
+        got = None
+        try:
+            DetectorBank(cfg).check_output(
+                arr, site="s", phase=None, panel=None, precision=Precision.FP64,
+            )
+        except NumericalBreakdownError as exc:
+            got = (exc.detector, exc.value)
+        assert got == want
+
     def test_norm_growth(self):
         bank = DetectorBank(DetectorConfig(norm_growth_factor=10.0))
         bank.check_norm_growth(

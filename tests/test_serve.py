@@ -404,9 +404,10 @@ class TestServiceResilience:
                              retry=RetryPolicy(max_attempts=3,
                                                backoff_base=0.001))
             res = svc.result(jid, timeout=120.0)
+            variant = svc.job(jid).spec.bulge_variant
         assert res.outcome == "done"
         assert res.attempts == 2  # crashed once, resumed once
-        ref = syevd_2stage(a, b=4, precision="fp32",
+        ref = syevd_2stage(a, b=4, precision="fp32", bulge_variant=variant,
                            checkpoint=str(tmp_path / "ref"))
         assert np.array_equal(res.eigenvalues, ref.eigenvalues)
         assert np.array_equal(res.eigenvectors, ref.eigenvectors)
@@ -465,12 +466,13 @@ class TestServiceResilience:
                                priority="interactive", tag="urgent")
             res_i = svc.result(inter, timeout=120.0)
             res_b = svc.result(batch, timeout=120.0)
+            variant = svc.job(batch).spec.bulge_variant
         assert res_i.outcome == "done"
         assert res_b.ok
         assert res_b.preemptions >= 1
         # The interactive job jumped the line while the batch job sat
         # evicted at its checkpoint.
-        ref = syevd_2stage(a, b=4, precision="fp32",
+        ref = syevd_2stage(a, b=4, precision="fp32", bulge_variant=variant,
                            checkpoint=str(tmp_path / "ref"))
         assert np.array_equal(res_b.eigenvalues, ref.eigenvalues)
         assert np.array_equal(res_b.eigenvectors, ref.eigenvectors)
