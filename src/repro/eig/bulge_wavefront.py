@@ -14,7 +14,8 @@ Forms" (arXiv 1709.00302):
 - each batch group's hop blocks (and sweep-opening columns) are factored
   by one stacked LAPACK ``geqrf`` (``np.linalg.qr(..., mode="raw")``,
   slice-by-slice identical to unstacked calls), and the WY pair comes
-  from a batched compact-WY ``T`` factor — no per-column Python loop;
+  from a batched compact-WY ``T`` factor — no per-column Python loop
+  (:mod:`repro.la.stacked`, shared with the band→bidiagonal chase);
 - each sweep's per-hop reflectors are grouped into a WY pair (``Q = I -
   W Y^T``) and applied as *tile updates*: two strip GEMMs for the
   off-diagonal block, three small GEMMs plus one fused ``syr2k`` for the
@@ -52,11 +53,11 @@ is needed.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
-from ..errors import NumericalBreakdownError, ShapeError
+from ..errors import ShapeError
 from ..gemm.engine import GemmEngine, PlainEngine
 from ..gemm.symbolic import wavefront_groups, wavefront_rounds
+from ..la.stacked import carve, stacked_qr, stacked_wy
 from ..obs import spans as obs
 from ..perf import resolve_workspace
 from ..validation import as_symmetric_matrix
@@ -158,11 +159,7 @@ def _execute_group(A, q, key, steps, eng, ws, dead) -> None:
     for g, (j, geom) in enumerate(steps):
         a0, a1, b0, b1 = geom[1:5]
         blocks[g] = A[b0:b1, a0:a1]
-    _check_finite(blocks)
-    # One stacked LAPACK geqrf: the R factor sits in the upper triangle
-    # of ``h^T``, the reflector tails below it.
-    h, taus = np.linalg.qr(blocks, mode="raw")
-    hT = h.swapaxes(1, 2)
+    hT, taus = stacked_qr(blocks, site="bulge_wavefront")
     # All-zero taus mean the block had no sub-band content: that sweep's
     # chase has died out (identity transform, nothing to do).
     alive = taus.any(axis=1)
@@ -188,9 +185,9 @@ def _execute_group(A, q, key, steps, eng, ws, dead) -> None:
     }
     if q is not None:
         shapes.update(Qg=(n, L), P=(n, kk), PY=(n, L))
-    sc = _carve(ws, dtype, G, shapes)
+    sc = carve(ws, "bw_bundle", dtype, G, shapes)
     V, W = sc["V"], sc["W"]
-    _build_wy(hT, taus, V, W)
+    stacked_wy(hT, taus, V, W)
 
     # --- Strip: rows [b0,b1) x cols [b1,hi), left-applied Q^T then
     # mirrored (S <- S - Y (W^T S)). ------------------------------------
@@ -236,64 +233,3 @@ def _execute_group(A, q, key, steps, eng, ws, dead) -> None:
         for g, (j, geom) in enumerate(steps):
             b0, b1 = geom[3:5]
             q[:, b0:b1] -= PY[g]
-
-
-def _carve(ws, dtype, G, shapes) -> dict:
-    """Carve a group's scratch stacks from one arena take.
-
-    ``shapes`` maps a name to a per-step matrix shape; each view is a
-    disjoint, contiguous ``(G, *shape)`` slice of a single ``bw_bundle``
-    buffer, so a group costs one arena lookup however many stacks it
-    needs.
-    """
-    sizes = [G * r * c for r, c in shapes.values()]
-    buf = ws.take("bw_bundle", (sum(sizes),), dtype)
-    out, off = {}, 0
-    for (name, shape), size in zip(shapes.items(), sizes):
-        out[name] = buf[off : off + size].reshape((G,) + shape)
-        off += size
-    return out
-
-
-def _check_finite(blocks) -> None:
-    """Raise the scalar kernel's breakdown on NaN/Inf input.
-
-    LAPACK propagates non-finite values silently, so the guard runs
-    before the factorization.  ``max``/``min`` propagate NaN and each
-    catches one sign of Inf; LAPACK's scaled norms cover the
-    over/underflow range on their own.
-    """
-    if not (np.isfinite(blocks.max()) and np.isfinite(blocks.min())):
-        raise NumericalBreakdownError(
-            "non-finite block in wavefront bulge chase",
-            detector="nonfinite", site="bulge_wavefront",
-        )
-
-
-def _build_wy(hT, taus, V, W) -> None:
-    """Batched WY pair ``H_1 .. H_kk = I - W Y^T`` from raw ``geqrf`` output.
-
-    ``Y`` (written to ``V``) is the unit lower-trapezoidal reflector
-    stack.  ``W = Y T`` with the compact-WY factor ``T`` obtained from
-    its inverse, ``T^{-1} = triu(Y^T Y, 1) + diag(1 / tau)`` — one Gram
-    product and one LAPACK ``trtri`` per slice instead of ``larft``'s
-    column recurrence.  A reflector with ``tau == 0`` is the identity
-    (its ``v`` is a unit vector, so row ``j`` of ``T^{-1}`` is
-    diagonal-only): it gets a unit diagonal entry for the inverse, then
-    its row and column of ``T`` are zeroed.
-    """
-    G, L, kk = V.shape
-    diag = np.arange(kk)
-    np.multiply(hT[:, :, :kk], np.tri(L, kk, -1, dtype=V.dtype), out=V)
-    V[:, diag, diag] = 1
-    t_inv = np.triu(np.matmul(V.swapaxes(1, 2), V), 1)
-    live = taus != 0
-    t_inv[:, diag, diag] = 1 / np.where(live, taus, 1)
-    trtri = get_lapack_funcs("trtri", dtype=V.dtype)
-    T = np.empty_like(t_inv)
-    for g in range(G):
-        T[g] = trtri(t_inv[g])[0]
-    if not live.all():
-        T *= live[:, :, None]
-        T *= live[:, None, :]
-    np.matmul(V, T, out=W)

@@ -28,6 +28,7 @@ __all__ = [
     "BULGE_WAVEFRONT_TAGS",
     "BULGE_SVD_TAGS",
     "WAVEFRONT_DELTA",
+    "BIDIAG_WAVEFRONT_DELTA",
     "full_update_col_blocks",
     "trace_sbr_zy",
     "trace_sbr_wy",
@@ -37,6 +38,9 @@ __all__ = [
     "wavefront_rounds",
     "wavefront_groups",
     "trace_bulge_wavefront",
+    "bidiag_sweep_geometry",
+    "bidiag_group_key",
+    "trace_band_to_bidiagonal",
 ]
 
 #: Tags that belong to the algorithm-level GEMM stream (vs panel internals).
@@ -316,48 +320,62 @@ def bulge_sweep_geometry(n: int, b: int, j: int) -> "list[tuple]":
     return steps
 
 
-def wavefront_rounds(n: int, b: int):
+def wavefront_rounds(
+    n: int, b: int, *, geometry=bulge_sweep_geometry, delta: int = WAVEFRONT_DELTA
+):
     """Yield the rounds of the wavefront schedule.
 
-    Round ``r`` executes step ``r - WAVEFRONT_DELTA * j`` of every sweep
-    ``j`` for which that index is in range — the anti-diagonal wavefront:
-    all steps of one round have pairwise-disjoint row/column footprints
-    (see :data:`WAVEFRONT_DELTA`), so the numeric executor may batch them
-    into single ``gemm_batched`` launches.  Each yielded round is a
-    non-empty list of ``(j, geometry)`` pairs in ascending ``j``.
+    Round ``r`` executes step ``r - delta * j`` of every sweep ``j`` for
+    which that index is in range — the anti-diagonal wavefront: all
+    steps of one round have pairwise-disjoint row/column footprints (see
+    :data:`WAVEFRONT_DELTA` for the symmetric chase's ``geometry``,
+    :data:`BIDIAG_WAVEFRONT_DELTA` for :func:`bidiag_sweep_geometry`), so
+    the numeric executor may batch them into single ``gemm_batched``
+    launches.  Each yielded round is a non-empty list of
+    ``(j, geometry)`` pairs in ascending ``j``.
     """
     nsweeps = max(n - 2, 0)
-    geoms = [bulge_sweep_geometry(n, b, j) for j in range(nsweeps)]
-    while geoms and not geoms[-1]:
-        geoms.pop()
-    nsweeps = len(geoms)
-    lo = 0
-    r = 0
+    while nsweeps and not geometry(n, b, nsweeps - 1):
+        nsweeps -= 1
     # Sweeps finish in ascending-j order (sweep j+1 has at most one step
     # fewer than sweep j, so finish rounds are strictly increasing) —
-    # the active window is [lo, r // DELTA].
+    # the active window is [lo, r // delta].  Only the window's
+    # geometries are held: a sweep's is built when it starts and dropped
+    # when it finishes.
+    geoms: "dict[int, list]" = {}
+    lo = r = 0
     while lo < nsweeps:
-        while lo < nsweeps and r - WAVEFRONT_DELTA * lo >= len(geoms[lo]):
+        hi = min(r // delta, nsweeps - 1)
+        if hi not in geoms and hi >= lo:
+            geoms[hi] = geometry(n, b, hi)
+        while lo <= hi and r - delta * lo >= len(geoms[lo]):
+            del geoms[lo]
             lo += 1
-        hi = min(r // WAVEFRONT_DELTA, nsweeps - 1)
         if lo <= hi:
-            yield [(j, geoms[j][r - WAVEFRONT_DELTA * j]) for j in range(lo, hi + 1)]
+            yield [(j, geoms[j][r - delta * j]) for j in range(lo, hi + 1)]
         r += 1
 
 
-def wavefront_groups(wave: "list[tuple]") -> "list[tuple[tuple, list]]":
+def _bulge_group_key(geom) -> tuple:
+    kind, a0, a1, b0, b1, hi = geom
+    return (kind, b1 - b0, (a1 - a0) if kind == "qr" else 1, hi - b1)
+
+
+def wavefront_groups(
+    wave: "list[tuple]", *, key=_bulge_group_key
+) -> "list[tuple[tuple, list]]":
     """Partition one round's steps into identically-shaped batch groups.
 
-    The group key is ``(kind, L, w, c2)`` — transform row count, QR block
-    width, strip width.  Steps sharing a key issue identically-shaped
+    ``key`` maps a step geometry to its group key.  The default is the
+    symmetric chase's ``(kind, L, w, c2)`` — transform row count, QR
+    block width, strip width; :func:`bidiag_group_key` is the
+    band→bidiagonal one.  Steps sharing a key issue identically-shaped
     tile updates and are launched as one ``gemm_batched`` stack; the
     sorted key order fixes the launch schedule the symbolic trace pins.
     """
     groups: "dict[tuple, list]" = {}
     for j, geom in wave:
-        kind, a0, a1, b0, b1, hi = geom
-        key = (kind, b1 - b0, (a1 - a0) if kind == "qr" else 1, hi - b1)
-        groups.setdefault(key, []).append((j, geom))
+        groups.setdefault(key(geom), []).append((j, geom))
     return sorted(groups.items())
 
 
@@ -396,4 +414,94 @@ def trace_bulge_wavefront(n: int, b: int, *, want_q: bool = True) -> GemmTrace:
                                      op="gemm_batched", batch=g))
                 trace.add(GemmRecord(n, L, kk, tag="bulge.wavefront.q",
                                      op="gemm_batched", batch=g))
+    return trace
+
+
+# ---------------------------------------------------------------------------
+# Band→bidiagonal wavefront chase (:mod:`repro.svd.banded`): geometry,
+# schedule parameters and symbolic trace, shared with the numeric
+# executor exactly like the symmetric chase's above.
+# ---------------------------------------------------------------------------
+
+#: Step separation of the band→bidiagonal wavefront.  Step ``t`` of sweep
+#: ``j`` touches rows/columns ``[j+1+(t-1)bw, j+1+(t+1)bw)`` (the opener,
+#: ``t = 0``, touches ``[j, j+1+bw)``, inside that range); steps of sweeps
+#: ``d`` apart scheduled ``DELTA*d`` steps apart are disjoint iff
+#: ``(DELTA*d - 2) * bw >= d``, which ``DELTA = 3`` satisfies for every
+#: ``bw >= 1`` (``DELTA = 2`` fails at ``d = 1``).
+BIDIAG_WAVEFRONT_DELTA = 3
+
+
+def bidiag_sweep_geometry(n: int, bw: int, j: int) -> "list[tuple]":
+    """Step geometries of sweep ``j`` of the band→bidiagonal chase.
+
+    Each step is ``(a0, a1, c1)``: a left QR of the hop block
+    ``B[a0:a1, a0:a1]`` (restoring upper triangularity, applied to the
+    strip ``B[a0:a1, a1:c1]`` and to ``U[:, a0:a1]``), then — when
+    ``c1 - a1 >= 2`` — a right LQ of that strip (making it lower
+    triangular, i.e. back inside the band, applied to the tile
+    ``B[a1:c1, a1:c1]`` and to ``V[:, a1:c1]``).  The first step is the
+    row opener, the ``a1 - a0 == 1`` case: its 1×1 left block has
+    nothing to factor and its strip is row ``j`` beyond the diagonal.
+    Every step's footprint is ``[a0, c1)`` in rows and columns.
+    """
+    r0, e0 = j + 1, min(j + 1 + bw, n)
+    if e0 - r0 < 2:
+        return []
+    steps = [(j, r0, e0)]
+    a0, a1 = r0, e0
+    while True:
+        c1 = min(a1 + bw, n)
+        steps.append((a0, a1, c1))
+        if c1 - a1 < 2:
+            return steps
+        a0, a1 = a1, c1
+
+
+def bidiag_group_key(geom) -> tuple:
+    """Batch-group key ``(L, k)`` of a band→bidiagonal step.
+
+    ``L = a1 - a0`` is the left block size (1 for the opener) and
+    ``k = c1 - a1`` the strip width; they fix every stacked shape.
+    """
+    a0, a1, c1 = geom
+    return (a1 - a0, c1 - a1)
+
+
+def trace_band_to_bidiagonal(n: int, bw: int, *, want_uv: bool = True) -> GemmTrace:
+    """Shape stream of :func:`repro.svd.banded.band_to_bidiagonal`.
+
+    Emits exactly the engine-routed launches of the numeric executor on a
+    generic upper band (no dead sweeps, no identity hop factors): per
+    batch group of ``g`` steps with key ``(L, k)``, the left QR's
+    ``kl = L - 1`` reflectors launch two strip products (when ``k > 0``)
+    and two U products (when ``want_uv``); the right LQ's
+    ``kr = min(k - 1, L)`` reflectors (when ``k >= 2``) launch two tile
+    products and two V products (when ``want_uv``), each one
+    ``gemm_batched`` of ``g`` slices.
+    """
+    trace = GemmTrace()
+
+    def add(m, nn, k, tag, g):
+        trace.add(GemmRecord(m, nn, k, tag=tag, op="gemm_batched", batch=g))
+
+    for wave in wavefront_rounds(n, bw, geometry=bidiag_sweep_geometry,
+                                 delta=BIDIAG_WAVEFRONT_DELTA):
+        for (L, k), steps in wavefront_groups(wave, key=bidiag_group_key):
+            g = len(steps)
+            if L > 1:
+                kl = L - 1
+                if k > 0:
+                    add(kl, k, L, "bulge.svd.strip", g)
+                    add(L, k, kl, "bulge.svd.strip", g)
+                if want_uv:
+                    add(kl, n, L, "bulge.svd.u", g)
+                    add(L, n, kl, "bulge.svd.u", g)
+            if k > 1:
+                kr = min(k - 1, L)
+                add(k, kr, k, "bulge.svd.tile", g)
+                add(k, k, kr, "bulge.svd.tile", g)
+                if want_uv:
+                    add(kr, n, k, "bulge.svd.v", g)
+                    add(k, n, kr, "bulge.svd.v", g)
     return trace

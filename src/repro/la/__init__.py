@@ -15,6 +15,8 @@ This package is the substrate beneath the band-reduction algorithms:
   explicit Q via non-pivoted LU (Ballard et al. 2014; paper Algorithm 3).
 - :mod:`~repro.la.band` — symmetric band storage and verification helpers.
 - :mod:`~repro.la.tridiagonal` — tridiagonal extraction/assembly helpers.
+- :mod:`~repro.la.stacked` — stacked ``geqrf`` hop factorizations and
+  their batched WY pairs, shared by the wavefront bulge chases.
 """
 
 from .householder import (

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from ..eig.driver import DEFAULT_BULGE_VARIANT
 from ..gemm.symbolic import (
+    bidiag_sweep_geometry,
     bulge_sweep_geometry,
+    trace_band_to_bidiagonal,
     trace_bulge_wavefront,
     trace_form_q,
     trace_sbr_wy,
@@ -33,6 +35,7 @@ __all__ = [
     "bulge_givens_flops",
     "bulge_wavefront_flops",
     "bulge_flops",
+    "band_to_bidiagonal_flops",
 ]
 
 
@@ -178,3 +181,24 @@ def bulge_flops(
     if variant == "wavefront":
         return bulge_wavefront_flops(n, b, want_q=want_q)
     return bulge_givens_flops(n, b, want_q=want_q)
+
+
+def band_to_bidiagonal_flops(n: int, bw: int, *, want_uv: bool = True) -> int:
+    """Operations of the band→bidiagonal wavefront chase.
+
+    Engine-visible work comes from the symbolic launch schedule
+    (:func:`repro.gemm.symbolic.trace_band_to_bidiagonal` — pinned by
+    tests to match the numeric executor's stream); each step's stacked
+    QR/WY factor work is added from the standard panel formulas over the
+    same shared geometry: the ``L × L`` hop block's ``L - 1`` left
+    reflectors and the ``k × L`` transposed strip's ``min(k - 1, L)``
+    right ones.
+    """
+    total = trace_band_to_bidiagonal(n, bw, want_uv=want_uv).total_flops
+    for j in range(max(n - 2, 0)):
+        for a0, a1, c1 in bidiag_sweep_geometry(n, bw, j):
+            L, k = a1 - a0, c1 - a1
+            for m, kk in ((L, L - 1), (k, min(k - 1, L))):
+                if kk > 0:
+                    total += panel_qr_flops(m, kk) + panel_wy_build_flops(m, kk)
+    return total

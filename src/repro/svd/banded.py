@@ -1,19 +1,27 @@
 """Banded SVD: band→bidiagonal bulge chasing + Golub–Kahan solve.
 
 A true two-stage SVD path for banded matrices — the workload the
-memory-aware bulge-chasing paper (arXiv 2510.12705) targets — built from
-the same tile machinery as the EVD wavefront chase:
+memory-aware bulge-chasing paper (arXiv 2510.12705) targets — run on the
+same wavefront executor design as the EVD stage 2
+(:mod:`repro.eig.bulge_wavefront`):
 
 1. :func:`band_to_bidiagonal` — the band analogue of the symmetric bulge
-   chase: per sweep, a right reflector annihilates row ``j`` beyond the
-   superdiagonal, then alternating left-QR / right-LQ hops chase the
-   resulting fill block down the band.  Hop factors are WY-accumulated
-   (:func:`repro.la.wy.build_wy`) and every block application — strip,
-   tile, and the U/V accumulations — launches through
-   :class:`repro.gemm.engine.GemmEngine` under ``bulge.svd.*`` tags with
-   scratch from the :class:`repro.perf.Workspace` arena, so the stage
-   joins the telemetry stream and the resilience/ABFT guards exactly
-   like the EVD stage 2.
+   chase.  Each sweep opens with a right reflector that annihilates row
+   ``j`` beyond the superdiagonal, then alternating left-QR / right-LQ
+   hops chase the resulting fill block down the band.  Sweeps run on the
+   anti-diagonal wavefront schedule of "Look-Ahead in the Two-Sided
+   Reduction to Compact Band Forms" (arXiv 1709.00302):
+   :func:`repro.gemm.symbolic.wavefront_rounds` over
+   :func:`~repro.gemm.symbolic.bidiag_sweep_geometry`, the schedule
+   :func:`~repro.gemm.symbolic.trace_band_to_bidiagonal` also replays.
+   One round's identically-shaped steps form a batch group whose hop
+   blocks are factored by one stacked LAPACK ``geqrf``
+   (:mod:`repro.la.stacked`, shared with the EVD chase), and whose strip,
+   tile and U/V updates launch as ``gemm_batched`` stacks through
+   :class:`repro.gemm.engine.GemmEngine` under ``bulge.svd.*`` tags, with
+   scratch from the :class:`repro.perf.Workspace` arena — so the stage
+   joins the telemetry stream and the resilience/ABFT guards like the
+   EVD stage 2.  The sweep opener is the one-row case of the hop.
 2. The bidiagonal ``(d, e)`` is solved by the shared Golub–Kahan back
    end (:func:`repro.svd.direct.gk_bidiagonal_svd`).
 
@@ -35,8 +43,15 @@ import numpy as np
 
 from ..errors import ShapeError, ValidationError
 from ..gemm.engine import GemmEngine, PlainEngine
+from ..gemm.symbolic import (
+    BIDIAG_WAVEFRONT_DELTA,
+    bidiag_group_key,
+    bidiag_sweep_geometry,
+    wavefront_groups,
+    wavefront_rounds,
+)
 from ..la.householder import apply_reflector_left, make_reflector
-from ..la.wy import build_wy
+from ..la.stacked import carve, check_finite, stacked_qr, stacked_wy
 from ..obs import spans as obs
 from ..perf import resolve_workspace
 from .direct import gk_bidiagonal_svd
@@ -50,6 +65,9 @@ TAG_TILE = "bulge.svd.tile"
 TAG_U = "bulge.svd.u"
 TAG_V = "bulge.svd.v"
 
+#: ``site`` of the non-finite breakdown the chase raises.
+SITE = "band_to_bidiagonal"
+
 
 def band_to_bidiagonal(
     a,
@@ -58,12 +76,20 @@ def band_to_bidiagonal(
     want_uv: bool = True,
     engine: GemmEngine | None = None,
     workspace=None,
+    batch: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray | None]:
     """Reduce an upper-banded square matrix to upper bidiagonal form.
 
     ``a`` must satisfy ``a[i, j] == 0`` outside ``0 <= j - i <= bw``.
     Returns ``(u, d, e, v)`` with ``a = u @ bidiag(d, e) @ v.T`` (``u``
     and ``v`` are ``None`` when ``want_uv=False``).
+
+    A sweep whose opener row is already bidiagonal is skipped, and a
+    hop after the first whose left QR finds nothing below the diagonal
+    ends its sweep (the fill has died out).  NaN/Inf in the input, or in
+    a block about to be factored, raises
+    :class:`~repro.errors.NumericalBreakdownError` with
+    ``detector="nonfinite"``.
 
     Parameters
     ----------
@@ -72,7 +98,11 @@ def band_to_bidiagonal(
         dtype-neutral :class:`~repro.gemm.engine.PlainEngine`); the
         chase runs in float64.
     workspace : repro.perf.Workspace, bool, or None
-        Scratch arena for the update temporaries.
+        Scratch arena for the gather/WY/update stacks.
+    batch : bool
+        Launch each round's identically-shaped steps as one stack
+        (default).  ``batch=False`` launches one step at a time —
+        bitwise identical output, used by the schedule tests.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
@@ -87,72 +117,172 @@ def band_to_bidiagonal(
             "(nonzero entries below the diagonal found); "
             "use svd_banded for general banded input"
         )
+    check_finite(a, site=SITE)
     n = a.shape[0]
     B = a.copy()
-    u = np.eye(n) if want_uv else None
-    v = np.eye(n) if want_uv else None
+    # U and V are accumulated transposed, so each hop's column window is
+    # a contiguous row block.
+    ut = np.eye(n) if want_uv else None
+    vt = np.eye(n) if want_uv else None
     if bw == 1 or n <= 2:
-        return u, np.diagonal(B).copy(), np.diagonal(B, 1).copy(), v
+        return ut, np.diagonal(B).copy(), np.diagonal(B, 1).copy(), vt
 
     eng = engine if engine is not None else PlainEngine()
     ws = resolve_workspace(workspace)
-    nsweeps = nhops = 0
+    dead = bytearray(n)  # sweeps whose fill vanished (chase died out)
+    nrounds = nsteps = nlaunches = 0
 
     with obs.span("bulge.svd", n=n, bandwidth=bw) as sp:
-        for j in range(n - 2):
-            r0, e0 = j + 1, min(j + 1 + bw, n)
-            if e0 - r0 < 2 or not np.any(B[j, r0 + 1 : e0]):
+        for wave in wavefront_rounds(n, bw, geometry=bidiag_sweep_geometry,
+                                     delta=BIDIAG_WAVEFRONT_DELTA):
+            live = [(j, geom) for j, geom in wave if not dead[j]]
+            if not live:
                 continue
-            nsweeps += 1
-            # Sweep opener: right reflector annihilating row j beyond the
-            # superdiagonal.  Support is rows [r0, e0): rows above j are
-            # already bidiagonal, rows at/below e0 have no entries in the
-            # touched columns.
-            v_ref, beta, alpha = make_reflector(B[j, r0:e0])
-            B[j, r0] = alpha
-            B[j, r0 + 1 : e0] = 0.0
-            y1 = v_ref[:, None]
-            w1 = (beta * v_ref)[:, None]
-            _apply_right(eng, ws, B[r0:e0, r0:e0], w1, y1, TAG_TILE)
-            if v is not None:
-                _apply_right(eng, ws, v[:, r0:e0], w1, y1, TAG_V)
-
-            # Chase: left-QR the dense fill block (restoring upper
-            # triangularity), right-LQ the strip it smears out of band,
-            # leapfrog down the band until the fill dies or hits the edge.
-            a0, a1 = r0, e0
-            while True:
-                nhops += 1
-                y_l, betas_l = _house_qr(B[a0:a1, a0:a1])
-                c1 = min(a1 + bw, n)
-                if np.any(betas_l):
-                    w_l, y_l = build_wy(y_l, betas_l)
-                    if c1 > a1:
-                        _apply_left(eng, ws, B[a0:a1, a1:c1], w_l, y_l, TAG_STRIP)
-                    if u is not None:
-                        _apply_right(eng, ws, u[:, a0:a1], w_l, y_l, TAG_U)
-                elif a0 > r0:
-                    break  # dead chase: the previous hop's fill vanished
-                if c1 - a1 < 2:
-                    break
-                # Right LQ of the strip: QR of S^T makes S lower-triangular
-                # relative to its local diagonal — exactly the band edge.
-                m_t = ws.take("svdb_st", (c1 - a1, a1 - a0), np.float64)
-                np.copyto(m_t, B[a0:a1, a1:c1].T)
-                y_r, betas_r = _house_qr(m_t)
-                B[a0:a1, a1:c1] = m_t.T
-                if np.any(betas_r):
-                    w_r, y_r = build_wy(y_r, betas_r)
-                    _apply_right(eng, ws, B[a1:c1, a1:c1], w_r, y_r, TAG_TILE)
-                    if v is not None:
-                        _apply_right(eng, ws, v[:, a1:c1], w_r, y_r, TAG_V)
-                a0, a1 = a1, c1
-        sp.count("sweeps", nsweeps)
-        sp.count("hops", nhops)
+            nrounds += 1
+            groups = wavefront_groups(live, key=bidiag_group_key)
+            if not batch:
+                groups = [(key, [s]) for key, steps in groups for s in steps]
+            for (L, k), steps in groups:
+                nlaunches += 1
+                nsteps += len(steps)
+                if L > 1:
+                    steps = _left_qr(B, ut, L, k, steps, eng, ws, dead)
+                if k > 1 and steps:
+                    _right_lq(B, vt, L, k, steps, eng, ws, dead)
+        sp.count("rounds", nrounds)
+        sp.count("steps", nsteps)
+        sp.count("launches", nlaunches)
+        sp.count("dead_sweeps", sum(dead))
 
     d = np.diagonal(B).copy()
     e = np.diagonal(B, 1).copy()
-    return u, d, e, v
+    if not want_uv:
+        return None, d, e, None
+    return ut.T, d, e, vt.T
+
+
+def _left_qr(B, ut, L, k, steps, eng, ws, dead) -> list:
+    """Left QR of one group's ``L × L`` hop blocks; returns the steps
+    that go on to their right LQ.
+
+    ``B[a0:a1, :] <- Q^T B[a0:a1, :]`` — the block becomes R, the strip
+    ``B[a0:a1, a1:c1]`` takes ``S - Y (W^T S)`` — and
+    ``U[:, a0:a1] <- U[:, a0:a1] Q`` (on ``ut = U^T``).  A block with
+    all-zero taus has nothing below its diagonal: on the sweep's first
+    hop that only skips the left transform, on a later hop the chase has
+    died out and the sweep ends.  Footprints of distinct steps are
+    disjoint by the schedule invariant, so gather/scatter order is
+    irrelevant.
+    """
+    n = B.shape[0]
+    blocks = ws.take("svdb_qr", (len(steps), L, L), np.float64)
+    for g, (j, (a0, a1, c1)) in enumerate(steps):
+        blocks[g] = B[a0:a1, a0:a1]
+    hT, taus = stacked_qr(blocks, site=SITE)
+    kk = L - 1  # the last of L taus acts on a 1-vector: always 0
+    taus = taus[:, :kk]
+    alive = taus.any(axis=1)
+    rest = steps
+    if not alive.all():
+        for g in np.flatnonzero(~alive):
+            j, (a0, _, _) = steps[g]
+            if a0 > j + 1:
+                dead[j] = 1
+        rest = [step for step in steps if not dead[step[0]]]
+        keep = np.flatnonzero(alive)
+        if keep.size == 0:
+            return rest
+        steps = [steps[g] for g in keep]
+        hT, taus = hT[keep], taus[keep]
+    R = np.triu(hT)
+    for g, (j, (a0, a1, c1)) in enumerate(steps):
+        B[a0:a1, a0:a1] = R[g]
+
+    G = len(steps)
+    shapes = {"V": (L, kk), "W": (L, kk)}
+    if k > 0:
+        shapes.update(S=(L, k), T=(kk, k))
+    if ut is not None:
+        shapes.update(X=(L, n), P=(kk, n))
+    sc = carve(ws, "svdb_bundle", np.float64, G, shapes)
+    V, W = sc["V"], sc["W"]
+    stacked_wy(hT, taus, V, W)
+
+    if k > 0:
+        S = sc["S"]
+        for g, (j, (a0, a1, c1)) in enumerate(steps):
+            S[g] = B[a0:a1, a1:c1]
+        T = eng.gemm_batched(W, S, ta=True, tag=TAG_STRIP, out=sc["T"])
+        YT = eng.gemm_batched(V, T, tag=TAG_STRIP, out=S)
+        for g, (j, (a0, a1, c1)) in enumerate(steps):
+            B[a0:a1, a1:c1] -= YT[g]
+    if ut is not None:
+        _accumulate(ut, sc, V, W, [geom[0] for _, geom in steps], L, eng, TAG_U)
+    return rest
+
+
+def _right_lq(B, vt, L, k, steps, eng, ws, dead) -> None:
+    """Right LQ of one group's ``L × k`` strips (QR of their transposes).
+
+    ``B[:, a1:c1] <- B[:, a1:c1] Q`` — the strip becomes lower
+    triangular (back inside the band), the tile ``B[a1:c1, a1:c1]``
+    takes ``D - (D W) Y^T`` — and ``V[:, a1:c1] <- V[:, a1:c1] Q`` (on
+    ``vt = V^T``).  All-zero taus on the opener mean row ``j`` was
+    already bidiagonal: the sweep has nothing to chase.
+    """
+    n = B.shape[0]
+    kk = min(k - 1, L)  # with k <= L the last tau acts on a 1-vector
+    strips = ws.take("svdb_qr", (len(steps), k, L), np.float64)
+    for g, (j, (a0, a1, c1)) in enumerate(steps):
+        strips[g] = B[a0:a1, a1:c1].T
+    hT, taus = stacked_qr(strips, site=SITE)
+    taus = taus[:, :kk]
+    alive = taus.any(axis=1)
+    if not alive.all():
+        if L == 1:
+            for g in np.flatnonzero(~alive):
+                dead[steps[g][0]] = 1
+        keep = np.flatnonzero(alive)
+        if keep.size == 0:
+            return
+        steps = [steps[g] for g in keep]
+        hT, taus = hT[keep], taus[keep]
+    R = np.triu(hT)
+    for g, (j, (a0, a1, c1)) in enumerate(steps):
+        B[a0:a1, a1:c1] = R[g].T
+
+    G = len(steps)
+    shapes = {"V": (k, kk), "W": (k, kk), "D": (k, k), "DW": (k, kk)}
+    if vt is not None:
+        shapes.update(X=(k, n), P=(kk, n))
+    sc = carve(ws, "svdb_bundle", np.float64, G, shapes)
+    V, W = sc["V"], sc["W"]
+    stacked_wy(hT, taus, V, W)
+
+    D = sc["D"]
+    for g, (j, (a0, a1, c1)) in enumerate(steps):
+        D[g] = B[a1:c1, a1:c1]
+    DW = eng.gemm_batched(D, W, tag=TAG_TILE, out=sc["DW"])
+    DWY = eng.gemm_batched(DW, V, tb=True, tag=TAG_TILE, out=D)
+    for g, (j, (a0, a1, c1)) in enumerate(steps):
+        B[a1:c1, a1:c1] -= DWY[g]
+    if vt is not None:
+        _accumulate(vt, sc, V, W, [geom[1] for _, geom in steps], k, eng, TAG_V)
+
+
+def _accumulate(xt, sc, V, W, starts, width, eng, tag) -> None:
+    """``X[:, c:c+width] <- X[:, c:c+width] (I - W Y^T)`` per start ``c``.
+
+    Works on ``xt = X^T``, where the window is the contiguous row block
+    ``xt[c:c+width]`` and the update is ``xt_c - Y (W^T xt_c)``.
+    """
+    X = sc["X"]
+    for g, c in enumerate(starts):
+        X[g] = xt[c : c + width]
+    P = eng.gemm_batched(W, X, ta=True, tag=tag, out=sc["P"])
+    PY = eng.gemm_batched(V, P, tag=tag, out=X)
+    for g, c in enumerate(starts):
+        xt[c : c + width] -= PY[g]
 
 
 def svd_banded(
@@ -241,47 +371,3 @@ def _banded_qr(a, bl: int, bu: int) -> tuple[np.ndarray, np.ndarray]:
             qb = q[:, lo:hi]
             qb -= np.multiply.outer(qb @ (beta * v_ref), v_ref)
     return q, r
-
-
-def _house_qr(block) -> tuple[np.ndarray, np.ndarray]:
-    """In-place Householder QR of one hop block; returns ``(Y, betas)``.
-
-    ``block`` (m × w) becomes R; reflector columns land in ``Y`` with
-    unit diagonal.  All-zero ``betas`` means there was nothing below the
-    diagonal (dead chase).  Panel-style scalar work, like the stage-1
-    panel factorizations.
-    """
-    m, w = block.shape
-    kk = min(max(m - 1, 0), w)
-    y = np.zeros((m, max(kk, 1)))
-    y[0, 0] = 1.0
-    betas = np.zeros(max(kk, 1))
-    for jl in range(kk):
-        v_ref, beta, alpha = make_reflector(block[jl:, jl])
-        block[jl, jl] = alpha
-        block[jl + 1 :, jl] = 0.0
-        y[jl:, jl] = v_ref
-        betas[jl] = beta
-        if beta != 0.0 and jl + 1 < w:
-            apply_reflector_left(block[jl:, jl + 1 :], v_ref, beta)
-    return y, betas
-
-
-def _apply_left(eng, ws, s, w_f, y_f, tag) -> None:
-    """``S <- (I - W Y^T)^T S = S - Y (W^T S)``, engine-routed."""
-    t = eng.gemm(
-        w_f, s, ta=True, tag=tag,
-        out=ws.take("svdb_t", (w_f.shape[1], s.shape[1]), np.float64),
-    )
-    upd = eng.gemm(y_f, t, tag=tag, out=ws.take("svdb_u", s.shape, np.float64))
-    np.subtract(s, upd, out=s)
-
-
-def _apply_right(eng, ws, d, w_f, y_f, tag) -> None:
-    """``D <- D (I - W Y^T) = D - (D W) Y^T``, engine-routed."""
-    p = eng.gemm(
-        d, w_f, tag=tag,
-        out=ws.take("svdb_p", (d.shape[0], w_f.shape[1]), np.float64),
-    )
-    upd = eng.gemm(p, y_f, tb=True, tag=tag, out=ws.take("svdb_r", d.shape, np.float64))
-    np.subtract(d, upd, out=d)

@@ -120,7 +120,7 @@ class TestLapackHopFactors:
         # The batched T-factor build against repro.la.wy.build_wy, the
         # column recurrence it replaces, including a tau == 0 reflector
         # in mid-block (an all-zero column factors to the identity).
-        from repro.eig.bulge_wavefront import _build_wy
+        from repro.la.stacked import stacked_wy
         from repro.la.wy import build_wy
 
         blocks = rng.standard_normal((3, 12, 8))
@@ -129,7 +129,7 @@ class TestLapackHopFactors:
         assert taus[1, 3] == 0
         V = np.empty((3, 12, 8))
         W = np.empty_like(V)
-        _build_wy(h.swapaxes(1, 2), taus, V, W)
+        stacked_wy(h.swapaxes(1, 2), taus, V, W)
         for g in range(3):
             w_ref, _ = build_wy(V[g], taus[g])
             np.testing.assert_allclose(W[g], w_ref, rtol=0, atol=1e-13)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ShapeError
+from repro.gemm.engine import PlainEngine
 from repro.matrices import generate_symmetric
 from repro.svd import (
     block_lanczos_eig,
@@ -390,3 +391,184 @@ class TestSvdBanded:
         svd_banded(a, workspace=ws)
         after = dict(ws.stats())
         assert after["misses"] == before["misses"]
+
+
+def _bidiag(d, e):
+    return np.diag(d) + np.diag(e, 1)
+
+
+def _chase_counters(a, bw, **kw):
+    """Run band_to_bidiagonal under a collector; return result and span counters."""
+    from repro import obs
+    from repro.svd import band_to_bidiagonal
+
+    with obs.collect() as session:
+        out = band_to_bidiagonal(a, bw, **kw)
+    spans = session.by_path("bulge.svd")
+    return out, (spans[0].counters if spans else {})
+
+
+class _PoisonTileEngine(PlainEngine):
+    """Plain engine whose first right-LQ tile product comes back as NaN."""
+
+    fired = False
+
+    def gemm_batched(self, a, b, *, tag="", **kw):
+        out = super().gemm_batched(a, b, tag=tag, **kw)
+        if tag == "bulge.svd.tile" and not self.fired:
+            self.fired = True
+            out[...] = np.nan
+        return out
+
+
+class TestBandToBidiagonalWavefront:
+    """The wavefront band→bidiagonal chase: schedule invariance, dead-chase
+    rules, non-finite guard, accuracy beyond singular values, arena use."""
+
+    @pytest.mark.parametrize("n,bw", [(40, 6), (33, 7), (17, 16), (25, 2)])
+    def test_batched_matches_one_step_per_launch_bitwise(self, rng, n, bw):
+        from repro.svd import band_to_bidiagonal
+
+        a = _random_banded(n, 0, bw, rng)
+        batched = band_to_bidiagonal(a, bw, batch=True)
+        serial = band_to_bidiagonal(a, bw, batch=False)
+        for x, y in zip(batched, serial):
+            np.testing.assert_array_equal(x, y)
+
+    def test_already_bidiagonal_input_skips_every_sweep(self, rng):
+        from repro.gemm import Fp64Engine
+
+        n, bw = 30, 5
+        a = _bidiag(rng.standard_normal(n), rng.standard_normal(n - 1))
+        eng = Fp64Engine(record=True)
+        (u, d, e, v), counters = _chase_counters(a, bw, engine=eng)
+        assert not eng.trace.records
+        assert counters["dead_sweeps"] == n - 2
+        np.testing.assert_array_equal(d, np.diagonal(a))
+        np.testing.assert_array_equal(e, np.diagonal(a, 1))
+        np.testing.assert_array_equal(u, np.eye(n))
+        np.testing.assert_array_equal(v, np.eye(n))
+
+    def test_bidiagonal_opener_row_is_skipped(self, rng):
+        # Row 0 already bidiagonal: sweep 0 is skipped, and the rest is the
+        # chase of the trailing submatrix (sweep j+1 there is sweep j here).
+        from repro.svd import band_to_bidiagonal
+
+        n, bw = 36, 5
+        a = _random_banded(n, 0, bw, rng)
+        a[0, 2:] = 0
+        (u, d, e, v), counters = _chase_counters(a, bw)
+        assert counters["dead_sweeps"] >= 1
+        _, d_sub, e_sub, _ = band_to_bidiagonal(a[1:, 1:], bw)
+        assert d[0] == a[0, 0] and e[0] == a[0, 1]
+        np.testing.assert_array_equal(d[1:], d_sub)
+        np.testing.assert_array_equal(e[1:], e_sub)
+        assert u[0, 0] == 1 and v[0, 0] == 1
+        np.testing.assert_allclose(u @ _bidiag(d, e) @ v.T, a, atol=1e-12)
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_zero_rows_mid_matrix_end_the_chase(self, rng, batch):
+        # Zero rows [p, p + bw): the first hop after them factors an empty
+        # block (no left transform, the sweep goes on), a later hop inside
+        # them finds no fill and ends its sweep.
+        from repro.gemm import Fp64Engine
+        from repro.gemm.symbolic import trace_band_to_bidiagonal
+        from repro.svd import band_to_bidiagonal
+
+        n, bw, p = 48, 6, 20
+        a = _random_banded(n, 0, bw, rng)
+        a[p : p + bw] = 0
+        eng = Fp64Engine(record=True)
+        (u, d, e, v), counters = _chase_counters(a, bw, engine=eng, batch=batch)
+        assert counters["dead_sweeps"] >= 1
+        assert len(eng.trace.records) < len(trace_band_to_bidiagonal(n, bw).records)
+        np.testing.assert_allclose(u @ _bidiag(d, e) @ v.T, a, atol=1e-12)
+        np.testing.assert_allclose(u.T @ u, np.eye(n), atol=1e-12)
+        np.testing.assert_allclose(v.T @ v, np.eye(n), atol=1e-12)
+        np.testing.assert_allclose(
+            np.linalg.svd(_bidiag(d, e), compute_uv=False),
+            np.linalg.svd(a, compute_uv=False), atol=1e-12,
+        )
+        other = band_to_bidiagonal(a, bw, batch=not batch)
+        for x, y in zip((u, d, e, v), other):
+            np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_band_entry_raises(self, rng, value):
+        from repro.errors import NumericalBreakdownError
+        from repro.svd import band_to_bidiagonal, svd_banded
+
+        a = _random_banded(40, 0, 5, rng)
+        a[20, 23] = value
+        for call in (lambda: band_to_bidiagonal(a, 5), lambda: svd_banded(a, 5)):
+            with pytest.raises(NumericalBreakdownError) as exc:
+                call()
+            assert exc.value.detector == "nonfinite"
+            assert exc.value.site == "band_to_bidiagonal"
+
+    def test_nan_from_a_tile_update_is_caught_before_factoring(self, rng):
+        from repro.errors import NumericalBreakdownError
+        from repro.svd import band_to_bidiagonal
+
+        with pytest.raises(NumericalBreakdownError) as exc:
+            band_to_bidiagonal(_random_banded(40, 0, 5, rng), 5,
+                               engine=_PoisonTileEngine())
+        assert exc.value.detector == "nonfinite"
+        assert exc.value.site == "band_to_bidiagonal"
+
+    def test_reconstruction_and_orthogonality_at_scale(self, rng):
+        from repro.svd import band_to_bidiagonal
+
+        n, bw = 192, 16
+        a = _random_banded(n, 0, bw, rng)
+        u, d, e, v = band_to_bidiagonal(a, bw)
+        np.testing.assert_allclose(u @ _bidiag(d, e) @ v.T, a, atol=1e-12)
+        np.testing.assert_allclose(u.T @ u, np.eye(n), atol=1e-12)
+        np.testing.assert_allclose(v.T @ v, np.eye(n), atol=1e-12)
+
+    @pytest.mark.parametrize("want_uv", [True, False])
+    def test_arena_two_takes_per_factorization_and_no_second_call_misses(
+            self, rng, want_uv):
+        from repro.gemm.symbolic import (
+            BIDIAG_WAVEFRONT_DELTA,
+            bidiag_group_key,
+            bidiag_sweep_geometry,
+            wavefront_groups,
+            wavefront_rounds,
+        )
+        from repro.perf import Workspace
+        from repro.svd import band_to_bidiagonal
+
+        n, bw = 65, 6
+        a = _random_banded(n, 0, bw, rng)
+        factorizations = sum(
+            (L > 1) + (k > 1)
+            for wave in wavefront_rounds(n, bw, geometry=bidiag_sweep_geometry,
+                                         delta=BIDIAG_WAVEFRONT_DELTA)
+            for (L, k), _ in wavefront_groups(wave, key=bidiag_group_key)
+        )
+        ws = Workspace()
+        band_to_bidiagonal(a, bw, want_uv=want_uv, workspace=ws)
+        first = dict(ws.stats())
+        assert 0 < first["takes"] <= 2 * factorizations
+        band_to_bidiagonal(a, bw, want_uv=want_uv, workspace=ws)
+        second = dict(ws.stats())
+        assert second["misses"] == first["misses"]
+        assert second["takes"] - first["takes"] == first["takes"]
+
+    def test_flop_model_counts_engine_visible_work(self, rng):
+        from repro.gemm import Fp64Engine
+        from repro.gemm.symbolic import is_algorithm_tag, trace_band_to_bidiagonal
+        from repro.metrics.flops import band_to_bidiagonal_flops
+        from repro.svd import band_to_bidiagonal
+
+        n, bw = 40, 5
+        eng = Fp64Engine(record=True)
+        band_to_bidiagonal(_random_banded(n, 0, bw, rng), bw, engine=eng)
+        rec = eng.trace.filter(lambda r: is_algorithm_tag(r.tag))
+        visible = trace_band_to_bidiagonal(n, bw, want_uv=True).total_flops
+        assert rec.total_flops == visible
+        with_uv = band_to_bidiagonal_flops(n, bw, want_uv=True)
+        without = band_to_bidiagonal_flops(n, bw, want_uv=False)
+        assert with_uv > visible and with_uv > without > 0
+        assert band_to_bidiagonal_flops(n, 1) == 0

@@ -179,3 +179,91 @@ class TestWavefrontTraceFidelity:
         assert all(is_algorithm_tag(t) for t in BULGE_SVD_TAGS)
         assert all(is_algorithm_tag(t) for t in
                    ("bulge.wavefront.strip", "bulge.wavefront.syr2k"))
+
+
+def _random_upper_band(n, bw, rng):
+    a = rng.standard_normal((n, n))
+    return np.triu(a) - np.triu(a, bw + 1)
+
+
+def _bidiag_rounds(n, bw):
+    from repro.gemm.symbolic import (
+        BIDIAG_WAVEFRONT_DELTA,
+        bidiag_sweep_geometry,
+        wavefront_rounds,
+    )
+
+    return list(wavefront_rounds(n, bw, geometry=bidiag_sweep_geometry,
+                                 delta=BIDIAG_WAVEFRONT_DELTA))
+
+
+class TestBidiagWavefrontSchedule:
+    """The band→bidiagonal wavefront: schedule soundness, brute-forced
+    over small shapes, and the executor's stream pinned to the trace."""
+
+    @staticmethod
+    def _footprint(geom):
+        # Left QR: rows [a0,a1) x cols [a0,c1) and U[:, a0:a1]; right LQ:
+        # rows [a0,c1) x cols [a1,c1) and V[:, a1:c1].  As a set of
+        # row/column indices, both are inside [a0, c1).
+        a0, a1, c1 = geom
+        return set(range(a0, c1))
+
+    def test_rounds_are_disjoint_and_serially_equivalent(self):
+        from itertools import combinations
+
+        from repro.gemm.symbolic import bidiag_sweep_geometry
+
+        # bw = 1, n <= 2, bw >= n - 1 and n not a multiple of bw included.
+        for n in range(0, 23):
+            for bw in range(1, n + 3):
+                rounds = _bidiag_rounds(n, bw)
+                when = {}
+                for r, wave in enumerate(rounds):
+                    assert wave
+                    for x, y in combinations(wave, 2):
+                        assert x[0] < y[0]
+                        assert not self._footprint(x[1]) & self._footprint(y[1]), (n, bw, r)
+                    for j, geom in wave:
+                        when.setdefault(j, []).append((r, geom))
+                # Every step of every sweep exactly once, in sweep order.
+                expect = {j: bidiag_sweep_geometry(n, bw, j) for j in range(max(n - 2, 0))}
+                expect = {j: g for j, g in expect.items() if g}
+                assert {j: [g for _, g in s] for j, s in when.items()} == expect
+                if bw < 2 or n <= 2:
+                    assert not rounds
+                # Steps of a later sweep that run no later than a step of an
+                # earlier sweep (against the serial order) must commute.
+                for j1, j2 in combinations(sorted(when), 2):
+                    for r1, g1 in when[j1]:
+                        for r2, g2 in when[j2]:
+                            if r2 <= r1:
+                                assert not self._footprint(g1) & self._footprint(g2), (
+                                    n, bw, j1, j2)
+
+    @pytest.mark.parametrize(
+        "n,bw", [(24, 3), (40, 5), (33, 7), (12, 11), (65, 16), (9, 2)]
+    )
+    @pytest.mark.parametrize("want_uv", [False, True])
+    def test_schedule_matches_recorded(self, rng, n, bw, want_uv):
+        from repro.gemm.symbolic import trace_band_to_bidiagonal
+        from repro.svd import band_to_bidiagonal
+
+        eng = Fp64Engine(record=True)
+        band_to_bidiagonal(_random_upper_band(n, bw, rng), bw,
+                           want_uv=want_uv, engine=eng)
+        rec = [
+            (r.m, r.n, r.k, r.tag, r.op, r.batch)
+            for r in _recorded_algorithm_trace(eng).records
+        ]
+        sym = [
+            (r.m, r.n, r.k, r.tag, r.op, r.batch)
+            for r in trace_band_to_bidiagonal(n, bw, want_uv=want_uv).records
+        ]
+        assert rec == sym
+
+    def test_empty_schedules(self):
+        from repro.gemm.symbolic import trace_band_to_bidiagonal
+
+        for n, bw in [(1, 1), (2, 1), (2, 5), (16, 1)]:
+            assert not trace_band_to_bidiagonal(n, bw).records
