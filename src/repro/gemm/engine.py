@@ -142,18 +142,31 @@ class GemmEngine(ABC):
             return None, True
         return out, False
 
-    def prepare_operand(self, a, *, tag: str = "prep"):
+    def prepare_operand(self, a, *, tag: "str | None" = "prep", split: bool = True):
         """Pre-process an operand for repeated :meth:`gemm` calls.
 
         Engines whose kernels transform operands before multiplying (the
         EC engine's hi/lo FP16 split) return an opaque handle that
         amortizes that transformation; all other engines return the
         array unchanged.  The handle is valid while the source array's
-        contents are unchanged and may be passed as either ``gemm``
-        operand (not with ``ta``/``tb``).  Results are bitwise identical
-        to passing the array.
+        contents are unchanged (see :meth:`update_operand`), may be
+        passed as either ``gemm`` operand, with ``ta``/``tb``, and
+        supports ``.T`` and 2-D unit-step slicing.  Results are bitwise
+        identical to passing the array.  ``tag`` names the workspace
+        buffers holding the transformed operand (``None``: private
+        buffers, freed with the handle).  ``split=False`` defers the
+        transformation: the handle is valid only over regions later
+        passed to :meth:`update_operand`.
         """
         return np.asarray(a)
+
+    def update_operand(self, handle, key=...) -> None:
+        """Refresh ``handle`` over the region ``key`` of its source array.
+
+        Call after writing ``array[key]`` — e.g. the columns a growing
+        matrix just appended — so later products see the new values.
+        A no-op for engines whose handle is the array itself.
+        """
 
     def gemm(self, a, b, *, tag: str = "", out=None, ta: bool = False,
              tb: bool = False) -> np.ndarray:
@@ -176,31 +189,32 @@ class GemmEngine(ABC):
         ta, tb : bool
             Multiply with the operand transposed (a no-copy view) —
             ``gemm(a, b, ta=True)`` is ``a.T @ b`` without the caller
-            materializing ``a.T``.  Not supported for prepared operands.
+            materializing ``a.T``.  Prepared operands transpose as
+            handles (their split is reused, not redone).
         """
         prep_a = isinstance(a, EcOperand)
         prep_b = isinstance(b, EcOperand)
-        av = a.array if prep_a else np.asarray(a)
-        bv = b.array if prep_b else np.asarray(b)
-        if av.ndim != 2 or bv.ndim != 2:
+        if not prep_a:
+            a = np.asarray(a)
+        if not prep_b:
+            b = np.asarray(b)
+        if a.ndim != 2 or b.ndim != 2:
             raise ShapeError(
-                f"gemm requires 2-D operands, got {av.ndim}-D and {bv.ndim}-D"
+                f"gemm requires 2-D operands, got {a.ndim}-D and {b.ndim}-D"
             )
         if ta:
-            if prep_a:
-                raise ShapeError("ta=True is not supported for a prepared operand")
-            av = a = av.T
+            a = a.T
         if tb:
-            if prep_b:
-                raise ShapeError("tb=True is not supported for a prepared operand")
-            bv = b = bv.T
+            b = b.T
+        av = a.array if prep_a else a
+        bv = b.array if prep_b else b
         if av.shape[1] != bv.shape[0]:
             raise ShapeError(f"inner dimensions differ: {av.shape} @ {bv.shape}")
         m, k = av.shape
         n = bv.shape[1]
         direct, copy_back = self._resolve_out(out, (m, n), av, bv)
         rec = GemmRecord(m=m, n=n, k=k, tag=tag, engine=self.name)
-        res = self._run(rec, a if prep_a else av, b if prep_b else bv, direct)
+        res = self._run(rec, a, b, direct)
         if copy_back:
             np.copyto(out, res, casting="same_kind")
             return out
@@ -417,14 +431,19 @@ class EcTensorCoreEngine(GemmEngine):
         super().__init__(record=record, workspace=workspace)
         self.chunk_k = chunk_k
 
-    def prepare_operand(self, a, *, tag: str = "prep"):
+    def prepare_operand(self, a, *, tag: "str | None" = "prep", split: bool = True):
         """Hi/lo-split ``a`` once for repeated multiplication.
 
         The SBR drivers prepare the block-constant trailing matrix OA so
         its FP16 split (several full passes over an M×M array) is paid
-        once per big block instead of once per panel.
+        once per big block instead of once per panel, and keep the
+        growing ``W``/``Y``/``OAW`` prepared column by column.
         """
-        return ec_prepare(a, ws=self.workspace, name=tag)
+        return ec_prepare(a, ws=self.workspace, name=tag, split=split)
+
+    def update_operand(self, handle, key=...) -> None:
+        if isinstance(handle, EcOperand):
+            handle.resplit(key, ws=self.workspace)
 
     def _matmul(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
         return ec_tcgemm(a, b, chunk_k=self.chunk_k, out=out, ws=self.workspace)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from .rounding import OOTOMO_SCALE, split_fp16, split_fp16_into
+from .rounding import OOTOMO_SCALE, fp16_scratch, split_fp16, split_fp16_into
 
 __all__ = ["EcOperand", "ec_prepare", "ec_tcgemm"]
 
@@ -37,8 +37,33 @@ def _split(x, ws, name: str):
         return split_fp16(x)
     hi = ws.take(f"ec_{name}_hi", x.shape, np.float32)
     lo = ws.take(f"ec_{name}_lo", x.shape, np.float32)
-    f16 = ws.take(f"ec_{name}_f16", x.shape, np.float16)
-    return split_fp16_into(x, hi, lo, f16)
+    return split_fp16_into(x, hi, lo, fp16_scratch(ws, hi.size))
+
+
+def _as_split(p: "EcOperand", ws, name: str, vector: bool):
+    """``p``'s stored hi/lo, laid out as a fresh split of ``p.array`` would be.
+
+    A fresh split through a workspace is row-major and compact, and one
+    without keeps the operand's memory order (C or F, compact).  BLAS
+    results depend on that orientation (a transposed operand accumulates
+    in another order), and in a matrix-vector product (``vector``) on the
+    strides too, but not on a matrix product's leading dimensions.  So a
+    view of the stored split is used as is when it is laid out like the
+    fresh split up to what the product ignores, and is copied otherwise —
+    a copy, never a re-rounding.
+    """
+    hi, lo = p.hi, p.lo
+    if ws is None:
+        if hi.flags.c_contiguous or hi.flags.f_contiguous:
+            return hi, lo
+        return np.array(hi, order="K"), np.array(lo, order="K")
+    if hi.flags.c_contiguous or (not vector and hi.strides[-1] == hi.itemsize):
+        return hi, lo
+    h = ws.take(f"ec_{name}_hi", hi.shape, np.float32)
+    l = ws.take(f"ec_{name}_lo", hi.shape, np.float32)
+    np.copyto(h, hi)
+    np.copyto(l, lo)
+    return h, l
 
 
 class EcOperand:
@@ -50,7 +75,13 @@ class EcOperand:
     array, comparable to the GEMM itself at small n).  ``ec_prepare``
     performs the split once and :func:`ec_tcgemm` accepts the handle in
     place of the array.  The handle is valid while the source array's
-    contents are unchanged — re-prepare after mutating it.
+    contents are unchanged — re-prepare after mutating it, or
+    :meth:`resplit` the changed region.
+
+    ``.T`` and 2-D basic slicing (unit step) return handles viewing the
+    same arrays, so a matrix that grows column by column (the SBR
+    ``W``/``Y``/``OAW``) is split once per column however many products
+    read it.
     """
 
     __slots__ = ("array", "hi", "lo")
@@ -68,8 +99,47 @@ class EcOperand:
     def ndim(self) -> int:
         return self.array.ndim
 
+    @property
+    def T(self) -> "EcOperand":
+        return EcOperand(self.array.T, self.hi.T, self.lo.T)
 
-def ec_prepare(a, *, ws=None, name: str = "prep") -> EcOperand:
+    def __getitem__(self, key) -> "EcOperand":
+        rows, cols = _slices(key, self.array.ndim)
+        return EcOperand(self.array[rows, cols], self.hi[rows, cols], self.lo[rows, cols])
+
+    def resplit(self, key=..., *, ws=None) -> "EcOperand":
+        """Re-split the 2-D region ``key`` of the source array after it changed."""
+        rows, cols = _slices(key, self.array.ndim)
+        src, hi, lo = self.array[rows, cols], self.hi[rows, cols], self.lo[rows, cols]
+        if src.size == 0:
+            return self
+        if hi.strides == lo.strides and (hi.flags.c_contiguous or hi.flags.f_contiguous):
+            split_fp16_into(src, hi, lo, fp16_scratch(ws, hi.size))
+        else:
+            # Strided target (new columns of a wider buffer): split into
+            # row-major staging, then copy into place.
+            h, l = _split(src, ws, "stage")
+            np.copyto(hi, h)
+            np.copyto(lo, l)
+        return self
+
+
+def _slices(key, ndim: int) -> "tuple[slice, slice]":
+    """``key`` as a (rows, cols) pair of unit-step slices of a 2-D operand."""
+    keys = (slice(None), slice(None)) if key is Ellipsis else (
+        key if isinstance(key, tuple) else (key,)
+    )
+    if (
+        ndim != 2 or len(keys) > 2
+        or not all(isinstance(k, slice) and k.step in (None, 1) for k in keys)
+    ):
+        raise ShapeError(f"EcOperand supports 2-D unit-step slicing only, got {key!r}")
+    return (tuple(keys) + (slice(None),))[:2]
+
+
+def ec_prepare(
+    a, *, ws=None, name: "str | None" = "prep", split: bool = True,
+) -> EcOperand:
     """Split ``a`` once for repeated use in :func:`ec_tcgemm`.
 
     With a workspace the split lives in arena buffers under
@@ -77,10 +147,23 @@ def ec_prepare(a, *, ws=None, name: str = "prep") -> EcOperand:
     later unprepared calls through the same arena do not clobber the
     handle.  A later ``ec_prepare`` with the same ``name`` reuses (and
     overwrites) the buffers, invalidating the previous handle.
+    ``name=None`` gives the handle private buffers (freed with it; only
+    the rounding scratch comes from the arena).  With ``split=False`` the
+    hi/lo buffers are only allocated; the caller fills them region by
+    region with :meth:`EcOperand.resplit`.
     """
     a = np.asarray(a, dtype=np.float32)
-    hi, lo = _split(a, ws, name)
-    return EcOperand(a, hi, lo)
+    if ws is None:
+        # Laid out as split_fp16 lays out its result: in a's axis order.
+        hi, lo = np.empty_like(a), np.empty_like(a)
+    elif name is None:
+        hi = np.empty(a.shape, dtype=np.float32)
+        lo = np.empty(a.shape, dtype=np.float32)
+    else:
+        hi = ws.take(f"ec_{name}_hi", a.shape, np.float32)
+        lo = ws.take(f"ec_{name}_lo", a.shape, np.float32)
+    handle = EcOperand(a, hi, lo)
+    return handle.resplit(ws=ws) if split else handle
 
 
 def ec_tcgemm(
@@ -126,8 +209,9 @@ def ec_tcgemm(
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
 
-    a_hi, a_lo = (a.hi, a.lo) if isinstance(a, EcOperand) else _split(a, ws, "a")
-    b_hi, b_lo = (b.hi, b.lo) if isinstance(b, EcOperand) else _split(b, ws, "b")
+    vector = min(a.shape[-2], a.shape[-1], b.shape[-1]) == 1
+    a_hi, a_lo = _as_split(a, ws, "a", vector) if isinstance(a, EcOperand) else _split(a, ws, "a")
+    b_hi, b_lo = _as_split(b, ws, "b", vector) if isinstance(b, EcOperand) else _split(b, ws, "b")
 
     out_shape = a.shape[:-1] + (b.shape[-1],)
     main = tcgemm(a_hi, b_hi, operand_format="fp32", chunk_k=chunk_k, out=out, ws=ws)

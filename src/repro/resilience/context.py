@@ -89,6 +89,14 @@ class ResilientEngine:
     def workspace(self):
         return self.base.workspace
 
+    def prepare_operand(self, a, *, tag: "str | None" = "prep", split: bool = True):
+        """The array itself: escalation re-runs units at other precisions,
+        so no precision-specific operand transformation is cached."""
+        return np.asarray(a)
+
+    def update_operand(self, handle, key=...) -> None:
+        """No-op (:meth:`prepare_operand` caches nothing)."""
+
     def gemm(self, a, b, *, tag: str = "", out=None, ta: bool = False,
              tb: bool = False) -> np.ndarray:
         """Policy GEMM with injection + detection.

@@ -58,18 +58,75 @@ def form_wy_tree(
                 f"all WY pairs must share the row space; got {w.shape} vs rows={rows}"
             )
     eng = engine if engine is not None else PlainEngine()
+    if any(a.dtype != eng.working_dtype for pair in pairs for a in pair):
+        # Pairs outside the engine's dtype: merge them as separate arrays,
+        # so each merge's result takes NumPy's promoted dtype (float32
+        # pairs under an fp64 engine come back float64).
+        return _merge_pairs(pairs, 0, len(pairs), eng, tag)
+    w_all = np.hstack([w for w, _ in pairs])
+    y_all = np.hstack([y for _, y in pairs])
+    bounds = np.cumsum([0] + [w.shape[1] for w, _ in pairs]).tolist()
+    _merge_in_place(w_all, y_all, bounds, eng, tag)
+    return w_all, y_all
 
-    def merge(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        if hi - lo == 1:
-            return pairs[lo]
-        mid = (lo + hi) // 2
-        w_l, y_l = merge(lo, mid)
-        w_r, y_r = merge(mid, hi)
-        ylt_wr = eng.gemm(y_l.T, w_r, tag=tag)
-        w_new = w_r - eng.gemm(w_l, ylt_wr, tag=tag)
-        return np.hstack([w_l, w_new]), np.hstack([y_l, y_r])
 
-    return merge(0, len(pairs))
+def _merge_pairs(pairs, lo, hi, eng, tag):
+    """Merge ``pairs[lo:hi]`` into a new pair (Algorithm 2, out of place)."""
+    if hi - lo == 1:
+        return pairs[lo]
+    mid = (lo + hi) // 2
+    w_l, y_l = _merge_pairs(pairs, lo, mid, eng, tag)
+    w_r, y_r = _merge_pairs(pairs, mid, hi, eng, tag)
+    w_new = w_r - eng.gemm(w_l, eng.gemm(y_l.T, w_r, tag=tag), tag=tag)
+    return np.hstack([w_l, w_new]), np.hstack([y_l, y_r])
+
+
+def _merge_in_place(w_all, y_all, bounds, eng, tag):
+    """Merge the pairs stored side by side in ``w_all``/``y_all``, in place.
+
+    Pair ``j`` occupies columns ``bounds[j]:bounds[j+1]``.  Merging two
+    neighbours only rewrites the right one's ``W`` columns (``[W_L | W_R -
+    W_L (Y_L^T W_R)]``; ``Y`` is just ``[Y_L | Y_R]``), so the whole tree
+    runs in the two arrays.  Both are held as the engine's prepared
+    operands: ``Y`` and the leaves of ``W`` are split once, and each merge
+    re-splits only the ``W`` columns it rewrote.  Returns the prepared
+    ``(W, Y)`` for further products.
+    """
+    w_op = eng.prepare_operand(w_all, tag=None)
+    y_op = eng.prepare_operand(y_all, tag=None)
+    _merge_range(w_all, w_op, y_op, bounds, 0, len(bounds) - 1, eng, tag)
+    return w_op, y_op
+
+
+def _merge_range(w_all, w_op, y_op, bounds, lo, hi, eng, tag):
+    """Merge pairs ``lo..hi-1`` (Algorithm 2's left/right recursion)."""
+    if hi - lo == 1:
+        return
+    mid = (lo + hi) // 2
+    _merge_range(w_all, w_op, y_op, bounds, lo, mid, eng, tag)
+    _merge_range(w_all, w_op, y_op, bounds, mid, hi, eng, tag)
+    c0, cm, c1 = bounds[lo], bounds[mid], bounds[hi]
+    vector = min(cm - c0, c1 - cm, w_all.shape[0]) == 1
+    y_l, w_l, w_r = (
+        _piece(op, a, b, vector) for op, a, b in ((y_op, c0, cm), (w_op, c0, cm), (w_op, cm, c1))
+    )
+    ylt_wr = eng.gemm(y_l, w_r, ta=True, tag=tag)
+    w_all[:, cm:c1] -= eng.gemm(w_l, ylt_wr, tag=tag)
+    eng.update_operand(w_op, (slice(None), slice(cm, c1)))
+
+
+def _piece(op, c0: int, c1: int, vector: bool):
+    """Columns ``c0:c1`` of a merged operand, as the GEMM should see them.
+
+    A matrix product's bits do not depend on its operands' leading
+    dimensions, a matrix-vector product's do: there a plain array view is
+    made compact, as the separately stored pairs of the recursion were.
+    (Prepared handles get the same treatment inside the engine.)
+    """
+    piece = op[:, c0:c1]
+    if vector and isinstance(piece, np.ndarray):
+        return np.ascontiguousarray(piece)
+    return piece
 
 
 def form_q_from_blocks(
@@ -113,19 +170,26 @@ def form_q_from_blocks(
     if method != "tree":
         raise ShapeError(f"method must be 'tree' or 'forward', got {method!r}")
 
-    # Embed every block into the row space of the first (largest) block.
+    # Embed every block into the row space of the first (largest) block,
+    # side by side: block j's pair fills columns bounds[j]:bounds[j+1].
     base = min(blk.offset for blk in blocks)
     rows = n - base
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    for blk in blocks:
+    bounds = np.cumsum([0] + [blk.ncols for blk in blocks]).tolist()
+    w_all = np.zeros((rows, bounds[-1]), dtype=dtype)
+    y_all = np.zeros((rows, bounds[-1]), dtype=dtype)
+    for blk, c0, c1 in zip(blocks, bounds, bounds[1:]):
         pad = blk.offset - base
-        w = np.zeros((rows, blk.ncols), dtype=dtype)
-        y = np.zeros((rows, blk.ncols), dtype=dtype)
-        w[pad:] = blk.w.astype(dtype, copy=False)
-        y[pad:] = blk.y.astype(dtype, copy=False)
-        pairs.append((w, y))
-    w_all, y_all = form_wy_tree(pairs, engine=eng, tag="formw")
+        w_all[pad:, c0:c1] = blk.w
+        y_all[pad:, c0:c1] = blk.y
+    if np.dtype(dtype) == eng.working_dtype:
+        w_op, y_op = _merge_in_place(w_all, y_all, bounds, eng, "formw")
+    else:
+        # Outside the engine's dtype, merge separate pairs, as form_wy_tree
+        # does, so products promote and operands are split as given.
+        pairs = [(w_all[:, c0:c1].copy(), y_all[:, c0:c1].copy())
+                 for c0, c1 in zip(bounds, bounds[1:])]
+        w_op, y_op = _merge_pairs(pairs, 0, len(pairs), eng, "formw")
 
-    # Q[base:, base:] = I - W Y^T  (one big GEMM).
-    q[base:, base:] -= eng.gemm(w_all, y_all.T, tag=tag)
+    # Q[base:, base:] = I - W Y^T  (one big GEMM, on the merged split).
+    q[base:, base:] -= eng.gemm(w_op, y_op, tb=True, tag=tag)
     return q

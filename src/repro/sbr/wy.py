@@ -39,7 +39,10 @@ arena (``workspace=``).  ``W``/``Y``/``OAW`` grow *in place* inside
 preallocated ``(M, nb)`` buffers (leading dimension ``nb``, so the
 ``[:, :k]`` views are BLAS-ready without packing copies), ``OA`` and the
 update scratch reuse arena buffers, and the engine-level workspace lets
-the EC Tensor-Core GEMMs reuse their operand-split buffers.  The arena is
+the EC Tensor-Core GEMMs reuse their operand-split buffers.  ``OA`` and
+the growing ``W``/``Y``/``OAW`` are the engine's prepared operands, so
+under the EC policy each of their columns is hi/lo-split once, not once
+per product that reads it.  The arena is
 attached to the engine when the engine has none, so one arena serves both
 layers; pass ``workspace=False`` to disable reuse (every take allocates —
 the control arm the benchmarks and tests compare against).
@@ -110,15 +113,34 @@ class _BlockState:
     ``w``/``y``/``oaw`` are ``(M, nb)`` buffers with the first ``k``
     columns live; extensions write columns ``k:k+w`` in place instead of
     re-``hstack``-ing ever-larger copies each panel.
+
+    The three buffers are also held as the engine's prepared operands
+    (the EC engine's hi/lo FP16 split; plain arrays for other engines and
+    under a resilience context): :meth:`refresh` transforms only the
+    columns a panel appends, and :attr:`Wop`/:attr:`Yop`/:attr:`OAWop`
+    view that stored transformation, so no product re-splits a column it
+    has seen before.
     """
 
-    __slots__ = ("w", "y", "oaw", "k")
+    __slots__ = ("w", "y", "oaw", "k", "_eng", "_ops")
 
-    def __init__(self, ws: Workspace, M: int, nb: int, dtype) -> None:
+    def __init__(self, ws: Workspace, M: int, nb: int, dtype, eng) -> None:
         self.w = ws.take("sbr_W", (M, nb), dtype)
         self.y = ws.take("sbr_Y", (M, nb), dtype)
         self.oaw = ws.take("sbr_OAW", (M, nb), dtype)
         self.k = 0
+        self._eng = eng
+        self._ops = tuple(
+            eng.prepare_operand(buf, tag=tag, split=False)
+            for tag, buf in (("sbr_W", self.w), ("sbr_Y", self.y), ("sbr_OAW", self.oaw))
+        )
+
+    def refresh(self, c0: int, c1: int, *, w=False, y=False, oaw=False) -> None:
+        """Re-prepare columns ``c0:c1`` of the named buffers after writing them."""
+        key = (slice(None), slice(c0, c1))
+        for flag, op in zip((w, y, oaw), self._ops):
+            if flag:
+                self._eng.update_operand(op, key)
 
     @property
     def W(self) -> np.ndarray:
@@ -131,6 +153,18 @@ class _BlockState:
     @property
     def OAW(self) -> np.ndarray:
         return self.oaw[:, : self.k]
+
+    @property
+    def Wop(self):
+        return self._ops[0][:, : self.k]
+
+    @property
+    def Yop(self):
+        return self._ops[1][:, : self.k]
+
+    @property
+    def OAWop(self):
+        return self._ops[2][:, : self.k]
 
 
 def _gemm_into(eng, a, b, view, *, tag, ta=False, tb=False):
@@ -282,7 +316,11 @@ def sbr_wy(
     try:
         while n - j0 - b >= 2:
             M = n - j0 - b  # size of the block's trailing row/col space S
-            st = _BlockState(ws, M, min(nb, M), dtype)
+            # W/Y/OAW and OA are prepared engine operands (the EC hi/lo
+            # FP16 split, done once per column) — bitwise identical to
+            # passing the arrays.  A resilience-wrapped engine re-runs
+            # steps at other precisions and prepares nothing.
+            st = _BlockState(ws, M, min(nb, M), dtype, eng)
             OA = ws.take("sbr_OA", (M, M), dtype)
             if pending is not None:
                 oa_r, w_r, y_r, oaw_r, r_start = pending
@@ -293,17 +331,14 @@ def sbr_wy(
                 st.y[:, :k] = y_r
                 st.oaw[:, :k] = oaw_r
                 st.k = k
+                st.refresh(0, k, w=True, y=True, oaw=True)
             else:
                 # Original trailing matrix for this big block (paper: OA).
                 np.copyto(OA, A[j0 + b :, j0 + b :])
                 r_start = 0
-            # OA is constant for the whole big block: let the engine
-            # amortize its operand transformation (the EC hi/lo FP16
-            # split — several full M×M passes) across the block's
-            # panels.  Bitwise identical to passing OA itself.  Under a
-            # resilience context the wrapped engine re-runs steps at
-            # other precisions, so the raw array is used there.
-            oa_op = eng.prepare_operand(OA, tag="sbr_OA") if ctx is None else OA
+            # OA is constant for the whole big block: its split (several
+            # full M×M passes) is paid once across the block's panels.
+            oa_op = eng.prepare_operand(OA, tag="sbr_OA")
             status = "advance"
             la_fut = None
 
@@ -428,8 +463,7 @@ def _flush_interrupt_checkpoint(
 
 def _resilient_panel_step(
     A, OA, st, eng, strategy, ctx, ws,
-    *, b, nb, j0, r, n, panel_index, norm_baseline, la_pool, pre_pf,
-    oa_op=None,
+    *, b, nb, j0, r, n, panel_index, norm_baseline, la_pool, pre_pf, oa_op,
 ):
     """Run one panel step, retrying from a checkpoint on breakdown.
 
@@ -455,7 +489,7 @@ def _resilient_panel_step(
                     A, OA, st, eng, strategy, ctx, ws,
                     b=b, nb=nb, j0=j0, r=r, n=n,
                     panel_index=panel_index, norm_baseline=norm_baseline,
-                    la_pool=None, pre_pf=None,
+                    la_pool=None, pre_pf=None, oa_op=oa_op,
                 )
         except (NumericalBreakdownError, SingularMatrixError) as exc:
             if not ctx.handle_breakdown(
@@ -493,8 +527,7 @@ def _resilient_form_q(blocks, n, eng, ctx, q_method, dtype):
 
 def _panel_step(
     A, OA, st, eng, strategy, ctx, ws,
-    *, b, nb, j0, r, n, panel_index, norm_baseline, la_pool, pre_pf,
-    oa_op=None,
+    *, b, nb, j0, r, n, panel_index, norm_baseline, la_pool, pre_pf, oa_op,
 ):
     """One panel iteration: QR, (W, Y) extension, deferred update.
 
@@ -549,6 +582,7 @@ def _panel_step(
         y_new = st.y[:, K : K + w_cols]
         y_new[:r] = 0
         y_new[r:] = pf.y.astype(dtype, copy=False)
+        st.refresh(K, K + w_cols, y=True)
         if K == 0:
             w_dst = st.w[:, :w_cols]
             w_dst[:r] = 0
@@ -558,19 +592,20 @@ def _panel_step(
             wp[:r] = 0
             wp[r:] = pf.w.astype(dtype, copy=False)
             ytwp = ws.take("sbr_ytwp", (K, w_cols), dtype)
-            _gemm_into(eng, st.Y, wp, ytwp, ta=True, tag="form_w")
+            _gemm_into(eng, st.Yop, wp, ytwp, ta=True, tag="form_w")
             tmp = ws.take("sbr_wtmp", (M, w_cols), dtype)
-            _gemm_into(eng, st.W, ytwp, tmp, tag="form_w")
+            _gemm_into(eng, st.Wop, ytwp, tmp, tag="form_w")
             np.subtract(wp, tmp, out=st.w[:, K : K + w_cols])
         st.k = K + w_cols
+        st.refresh(K, st.k, w=True)
 
     # --- Incremental OA @ W cache (the 'reuse the original matrix'
     #     cost of Algorithm 1's inner loop). -------------------------
     with obs.span("sbr.oaw"):
         _gemm_into(
-            eng, OA if oa_op is None else oa_op,
-            st.w[:, K : st.k], st.oaw[:, K : st.k], tag="wy_oaw",
+            eng, oa_op, st.Wop[:, K:], st.oaw[:, K : st.k], tag="wy_oaw",
         )
+        st.refresh(K, st.k, oaw=True)
 
     if m <= b + 1:
         # Tail: no further panel will run (the next would have
@@ -637,7 +672,7 @@ def _partial_update(
     dtype = A.dtype
     M = OA.shape[0]
     K = st.k
-    W, Y, OAW = st.W, st.Y, st.OAW
+    W, Y, OAW = st.Wop, st.Yop, st.OAWop
     yc = Y[r : r + cn, :]
     # Right update: X = OA[:, r:r+cn] - (OA W) Y_c^T  (full column block —
     # the left update's W^T X needs every row of X).
@@ -688,7 +723,7 @@ def _full_update(
     dtype = A.dtype
     M = OA.shape[0]
     K = st.k
-    W, Y, OAW = st.W, st.Y, st.OAW
+    W, Y, OAW = st.Wop, st.Yop, st.OAWop
     T = M - r_end
     yc = Y[r_end:, :]
     x = ws.take("sbr_fx", (M, T), dtype)

@@ -47,6 +47,30 @@ class TestFormWyTree:
         form_wy_tree([_random_wy(16, 2, rng) for _ in range(4)], engine=eng)
         assert eng.trace.tags()["formw"] == 2 * 3  # 3 merges, 2 GEMMs each
 
+    @pytest.mark.parametrize(
+        "precision,dtypes",
+        [
+            ("fp64", ("f4", "f4", "f4")),  # products widen W to float64
+            ("fp16_ec_tc", ("f8", "f8", "f8", "f8")),  # W stays float64
+            ("fp16_ec_tc", ("f4", "f8", "f4")),
+            ("plain", ("f4", "f8", "f4", "f4")),
+        ],
+    )
+    def test_dtypes_outside_the_engine_promote(self, rng, precision, dtypes):
+        """Pairs not in the engine's working dtype merge with NumPy's
+        promotion, bit for bit as separate arrays would."""
+        from repro.gemm import make_engine
+        from repro.gemm.engine import PlainEngine
+        from repro.perf import Workspace
+
+        pairs = [tuple(x.astype(dt) for x in _random_wy(24, 3, rng)) for dt in dtypes]
+        for ws in (None, Workspace()):
+            eng = PlainEngine() if precision == "plain" else make_engine(precision, workspace=ws)
+            w, y = form_wy_tree(pairs, engine=eng)
+            w_ref, y_ref = _hstack_tree(pairs, eng)
+            assert (w.dtype, y.dtype) == (w_ref.dtype, y_ref.dtype)
+            assert w.tobytes() == w_ref.tobytes() and y.tobytes() == y_ref.tobytes()
+
 
 class TestFormQFromBlocks:
     def _blocks(self, rng):
@@ -99,3 +123,65 @@ class TestFormQFromBlocks:
         n_tree = len(eng_tree.trace.by_tag("form_q")) + len(eng_tree.trace.by_tag("formw"))
         n_fwd = len(eng_fwd.trace.by_tag("form_q"))
         assert n_tree <= n_fwd + 2
+
+
+def _hstack_tree(pairs, eng):
+    """The unprepared merge: fresh hstack-ed arrays at every level."""
+    if len(pairs) == 1:
+        return pairs[0]
+    mid = len(pairs) // 2
+    w_l, y_l = _hstack_tree(pairs[:mid], eng)
+    w_r, y_r = _hstack_tree(pairs[mid:], eng)
+    w_new = w_r - eng.gemm(w_l, eng.gemm(y_l.T, w_r, tag="formw"), tag="formw")
+    return np.hstack([w_l, w_new]), np.hstack([y_l, y_r])
+
+
+class TestPreparedMerge:
+    """The in-place merge keeps W/Y split once (EC engine); it must give
+    the bits of the hstack recursion that splits every product."""
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("precision", ["fp16_ec_tc", "fp32", "fp16_tc"])
+    def test_in_place_merge_is_the_hstack_recursion(self, rng, blocks, precision):
+        from repro.gemm import make_engine
+        from repro.perf import Workspace
+
+        pairs = [
+            tuple(x.astype(np.float32) for x in _random_wy(40, int(rng.integers(1, 6)), rng))
+            for _ in range(blocks)
+        ]
+        for ws in (None, Workspace()):
+            eng = make_engine(precision, workspace=ws)
+            w, y = form_wy_tree(pairs, engine=eng)
+            w_ref, y_ref = _hstack_tree(pairs, eng)
+            assert np.array_equal(w.view(np.uint32), w_ref.view(np.uint32))
+            assert np.array_equal(y.view(np.uint32), y_ref.view(np.uint32))
+
+    @pytest.mark.parametrize(
+        "precision,dtype",
+        [("fp16_ec_tc", np.float32), ("fp16_ec_tc", np.float64), ("fp64", np.float32)],
+    )
+    def test_form_q_reuses_the_merged_split(self, rng, precision, dtype):
+        # In the engine's dtype the merged split is reused; outside it
+        # the pairs merge separately and promote, as they always did.
+        from repro.gemm import make_engine
+        from repro.perf import Workspace
+
+        blocks = [
+            WYBlock(offset=off, w=w.astype(np.float32), y=y.astype(np.float32))
+            for off, (w, y) in ((4, _random_wy(36, 4, rng)), (8, _random_wy(32, 4, rng)),
+                                (12, _random_wy(28, 3, rng)))
+        ]
+        ws = Workspace()
+        eng = make_engine(precision, workspace=ws)
+        q = form_q_from_blocks(blocks, 40, engine=eng, dtype=dtype)
+        pairs = []
+        for blk in blocks:
+            w = np.zeros((36, blk.ncols), dtype)
+            y = np.zeros((36, blk.ncols), dtype)
+            w[blk.offset - 4 :], y[blk.offset - 4 :] = blk.w, blk.y
+            pairs.append((w, y))
+        w_all, y_all = _hstack_tree(pairs, eng)
+        q_ref = np.eye(40, dtype=dtype)
+        q_ref[4:, 4:] -= eng.gemm(w_all, y_all.T, tag="form_q")
+        assert q.dtype == q_ref.dtype and q.tobytes() == q_ref.tobytes()

@@ -426,14 +426,154 @@ class TestPreparedOperand:
         assert prepared is a
         assert np.array_equal(eng.gemm(prepared, b), eng.gemm(a, b))
 
-    def test_prepared_operand_rejects_transpose(self, rng):
-        eng = make_engine("fp16_ec_tc")
-        a, _ = _operands(rng, m=16, k=16, n=16)
-        handle = eng.prepare_operand(a)
-        with pytest.raises(ShapeError):
-            eng.gemm(handle, a, ta=True)
-        with pytest.raises(ShapeError):
-            eng.gemm(a, handle, tb=True)
+    @pytest.mark.parametrize("with_ws", [True, False], ids=["ws", "no-ws"])
+    def test_prepared_operand_transpose_and_slices_bitwise(self, rng, with_ws):
+        # .T, slices and ta/tb on handles reuse the stored split; every
+        # product equals the raw-array product bit for bit, including
+        # matrix-vector shapes where BLAS accumulation follows layout.
+        eng = make_engine("fp16_ec_tc", workspace=Workspace() if with_ws else None)
+        buf = rng.standard_normal((40, 30)).astype(np.float32)
+        h = eng.prepare_operand(buf, tag="buf")
+        for cols in (30, 17, 1):
+            a, ha = buf[:, :cols], h[:, :cols]
+            for other in (rng.standard_normal((cols, 5)), rng.standard_normal((cols, 1))):
+                other = other.astype(np.float32)
+                assert _bits_eq(eng.gemm(ha, other), eng.gemm(a, other))
+                assert _bits_eq(eng.gemm(other, ha, ta=True, tb=True),
+                                eng.gemm(other, a, ta=True, tb=True))
+            for rows in (40, 9, 1):
+                c = rng.standard_normal((rows, 40)).astype(np.float32)
+                assert _bits_eq(eng.gemm(c, ha), eng.gemm(c, a))
+                assert _bits_eq(eng.gemm(ha[:rows], ha[:rows], ta=True),
+                                eng.gemm(a[:rows], a[:rows], ta=True))
+                assert _bits_eq(eng.gemm(ha, ha[:rows], tb=True),
+                                eng.gemm(a, a[:rows], tb=True))
+                assert _bits_eq(eng.gemm(ha.T, c, tb=True), eng.gemm(a.T, c.T))
+            out = np.empty((cols, cols), np.float32)
+            res = eng.gemm(ha[3:], ha[3:], ta=True, out=out)
+            assert res is out and _bits_eq(out, eng.gemm(a[3:], a[3:], ta=True))
+
+    def test_prepared_operand_aliasing_out_copies_back(self, rng):
+        eng = make_engine("fp16_ec_tc", workspace=Workspace())
+        a, b = _operands(rng, m=16, k=16, n=16)
+        ref = eng.gemm(a, b)
+        h = eng.prepare_operand(a, tag="a")
+        bb = b.copy()
+        res = eng.gemm(h, bb, out=bb)  # out aliases the raw operand
+        assert res is bb and _bits_eq(bb, ref)
+        res = eng.gemm(h, b, out=h.array)  # out aliases the handle's array
+        assert res is a and _bits_eq(a, ref)
+
+    def test_incremental_update_matches_full_prepare(self, rng):
+        ws = Workspace()
+        eng = make_engine("fp16_ec_tc", workspace=ws)
+        src = (rng.standard_normal((50, 24)) * 1e-3).astype(np.float32)
+        buf = np.zeros_like(src)
+        h = eng.prepare_operand(buf, tag="grow", split=False)
+        for c0 in range(0, 24, 5):  # columns appended block by block
+            buf[:, c0 : c0 + 5] = src[:, c0 : c0 + 5]
+            eng.update_operand(h, (slice(None), slice(c0, c0 + 5)))
+        full = make_engine("fp16_ec_tc").prepare_operand(src)
+        assert _bits_eq(h.hi, full.hi) and _bits_eq(h.lo, full.lo)
+        assert _bits_eq(h.T.hi, full.hi.T)
+        x = rng.standard_normal((24, 3)).astype(np.float32)
+        assert _bits_eq(eng.gemm(h[:, :10], x[:10]), eng.gemm(src[:, :10], x[:10]))
+
+    def test_prepared_slicing_is_basic_unit_step_only(self, rng):
+        h = make_engine("fp16_ec_tc").prepare_operand(_operands(rng)[0])
+        assert h[2:5, 1:].shape == (3, 15) and h.T.shape == (16, 24)
+        for key in ((slice(None, None, 2),), (0,), (slice(None), [1, 2]), (1, 2)):
+            with pytest.raises(ShapeError):
+                h[key]
+
+    @pytest.mark.parametrize("precision", ["fp32", "fp64", "fp16_tc"])
+    def test_non_ec_update_is_noop(self, rng, precision):
+        eng = make_engine(precision)
+        a, _ = _operands(rng)
+        assert eng.prepare_operand(a, split=False) is a
+        eng.update_operand(a, (slice(None), slice(0, 3)))
+
+
+def _bits_eq(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint32), y.view(np.uint32))
+
+
+class TestSbrSplitReuse:
+    """sbr_wy keeps W/Y/OAW (and form-Q's merged pair) split once per
+    column; results are bitwise those of splitting every product."""
+
+    @staticmethod
+    def _run(a, **kw):
+        kw.setdefault("engine", make_engine("fp16_ec_tc"))
+        return sbr_wy(a, 8, 32, want_q=True, **kw)
+
+    def test_bitwise_across_workspace_and_lookahead(self, rng):
+        from repro.resilience import ResilienceContext
+
+        a = random_symmetric(150, rng)
+        ref = self._run(a)
+        for kw in ({"workspace": False}, {"lookahead": True},
+                   {"workspace": False, "lookahead": True}):
+            other = self._run(a, **kw)
+            assert _bits_eq(other.band, ref.band) and _bits_eq(other.q, ref.q), kw
+        # A resilience context prepares nothing: every product splits its
+        # raw operands — the reference the split reuse must match.
+        raw = self._run(a, resilience=ResilienceContext(on_breakdown="raise"))
+        assert _bits_eq(raw.band, ref.band) and _bits_eq(raw.q, ref.q)
+
+    def test_mid_block_checkpoint_resume_bitwise(self, rng, tmp_path):
+        from repro.ckpt import CheckpointConfig, CheckpointManager
+        from repro.errors import SimulatedCrashError
+        from repro.resilience.crash import CrashFaultSpec, CrashInjector
+
+        a = random_symmetric(96, rng)
+        ref = sbr_wy(a, 4, 16, engine=make_engine("fp16_ec_tc"), want_q=True)
+        # Panels r = 0, 4, 8, 12 per block: the third save (r_next = 12)
+        # is mid-block, so resume restores W/Y/OAW and re-splits them.
+        crash = CrashInjector(CrashFaultSpec(site="ckpt.save.sbr_panel.post", call_index=2))
+        mgr = CheckpointManager(CheckpointConfig(run_dir=str(tmp_path), crash=crash))
+        mgr.begin(a, {"driver": "sbr_wy"})
+        with pytest.raises(SimulatedCrashError):
+            sbr_wy(a, 4, 16, engine=make_engine("fp16_ec_tc"), want_q=True, checkpoint=mgr)
+        mgr = CheckpointManager(CheckpointConfig(run_dir=str(tmp_path)))
+        mgr.begin(a, {"driver": "sbr_wy"})
+        assert mgr.latest(steps=("sbr_panel",)).scalars["mid_block"]
+        res = sbr_wy(a, 4, 16, engine=make_engine("fp16_ec_tc"), want_q=True, checkpoint=mgr)
+        assert _bits_eq(res.band, ref.band) and _bits_eq(res.q, ref.q)
+
+    def test_ec_split_takes_pinned(self, rng):
+        # Per-call operand splits and copies of stored splits (one hi and
+        # one lo take each) at n=512.  A resilience-wrapped engine
+        # prepares nothing, so its run splits every product's operands.
+        from repro.resilience import ResilienceContext
+
+        def takes(**kw):
+            res = sbr_wy(a, 32, 128, engine=make_engine("fp16_ec_tc"), want_q=True, **kw)
+            by_tag = res.workspace.stats()["by_tag"]
+            assert not [t for t in by_tag if t.endswith("_f16")]
+            return sum(v["hits"] + v["misses"] for t, v in by_tag.items()
+                       if t.startswith(("ec_a_", "ec_b_")))
+
+        a = random_symmetric(512, rng)
+        assert takes() <= 272
+        assert takes(resilience=ResilienceContext(on_breakdown="raise")) >= 440
+
+    @pytest.mark.parametrize("precision", ["fp16_ec_tc", "fp32"])
+    def test_dropped_result_frees_workspace_without_gc(self, rng, precision):
+        import gc
+        import weakref
+
+        a = random_symmetric(96, rng)
+        gc.collect()
+        gc.disable()
+        try:
+            res = sbr_wy(a, 8, 32, engine=make_engine(precision), want_q=True)
+            ws = weakref.ref(res.workspace)
+            del res
+            assert ws() is None  # no reference cycle pins the arena
+        finally:
+            gc.enable()
 
 
 class TestEngineWorkspace:

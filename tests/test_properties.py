@@ -112,6 +112,60 @@ class TestPrecisionProperties:
         scale = np.maximum(np.abs(x32), 2.0**-14)
         assert np.all(np.abs(recon - x32) / scale < 2.0**-18)
 
+    @given(
+        bits=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=64),
+        strided=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fp16_kernel_is_numpys_cast_bit_for_bit(self, bits, strided):
+        # Arbitrary float32 bit patterns: normals, subnormals, ±0, ±Inf,
+        # NaN payloads and overflow, contiguous or as a strided view.
+        x = np.array(bits, dtype=np.uint32).view(np.float32)
+        if strided:
+            x = np.repeat(x, 2)[::2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref_hi = x.astype(np.float16).astype(np.float32)
+            ref_lo = ((x - ref_hi) * np.float32(2.0**11)).astype(np.float16).astype(np.float32)
+            hi, lo = split_fp16(x)
+            r = round_fp16(x)
+        assert np.array_equal(r.view(np.uint32), ref_hi.view(np.uint32))
+        assert np.array_equal(hi.view(np.uint32), ref_hi.view(np.uint32))
+        assert np.array_equal(lo.view(np.uint32), ref_lo.view(np.uint32))
+
+    @given(
+        dims=st.tuples(*[st.sampled_from([1, 2, 3, 8, 17, 40]) for _ in range(3)]),
+        layout=st.tuples(*[st.integers(0, 3) for _ in range(4)]),
+        flags=st.tuples(*[st.booleans() for _ in range(4)]),
+        use_ws=st.booleans(),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_prepared_views_multiply_like_raw_arrays(self, dims, layout, flags, use_ws, seed):
+        # Slices / transposes of a prepared EC operand reuse its stored
+        # split; the product must not change by a bit (BLAS accumulation
+        # follows operand layout, so the engine copies where it must).
+        from repro.gemm import make_engine
+        from repro.perf import Workspace
+
+        m, k, n = dims
+        ta, tb, prep_a, prep_b = flags
+        g = np.random.default_rng(seed)
+        eng = make_engine("fp16_ec_tc", workspace=Workspace() if use_ws else None)
+
+        def operand(rows, cols, trans, prep, pad_r, pad_c):
+            r, c = (cols, rows) if trans else (rows, cols)
+            buf = (g.standard_normal((r + pad_r, c + pad_c)) * 1e-3).astype(np.float32)
+            raw = buf[pad_r:, : c]
+            if not prep:
+                return raw, raw
+            return raw, eng.prepare_operand(buf, tag=None)[pad_r:, :c]
+
+        a_raw, a_op = operand(m, k, ta, prep_a, *layout[:2])
+        b_raw, b_op = operand(k, n, tb, prep_b, *layout[2:4])
+        got = eng.gemm(a_op, b_op, ta=ta, tb=tb)
+        ref = eng.gemm(a_raw, b_raw, ta=ta, tb=tb)
+        assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+
     @given(x=_vec(1, 200))
     @settings(max_examples=60, deadline=None)
     def test_fp16_rounding_idempotent_and_monotone(self, x):
